@@ -1,22 +1,31 @@
 """One measured interpreter: set up, run timed passes, report as JSON.
 
-Run by ``run.py``, never directly by a user; every invocation is a
+Run by ``run.py``, never directly by a user.  Every invocation is a
 fresh interpreter, so the program's process-wide memos (the asset
 ``lru_cache``s, the fingerprint memo) start empty.  Modes:
 
 * ``cold``: set-up builds the per-country assets (``warm_assets``);
-  one timed pass runs ``FleetRunner.run`` (``--jobs`` workers, 1 when
-  measured) over the population into the (empty) result cache at
+  a pass runs ``FleetRunner.run`` (``--jobs`` workers, 1 when
+  measured) over the population into the empty result cache at
   ``--cache``, then renders the report.
-* ``replay``: set-up opens the cache; timed passes rerun
+* ``replay``: set-up opens the cache; a pass reruns
   ``FleetRunner.run`` over it, every household a cache hit.
-* ``serve``: set-up opens the cache; timed passes stream the
-  population through ``serve_fleet`` with the default
-  ``ServiceConfig`` and a fresh checkpoint directory each.
+* ``serve``: set-up opens the cache; a pass streams the population
+  through ``serve_fleet`` with the default ``ServiceConfig`` and a
+  fresh checkpoint directory.
+
+With ``--seconds`` every pass runs in its own process forked from this
+one right after set-up, so each pass starts from the state a fresh
+interpreter has after set-up: nothing a pass memoizes in-process
+reaches the next one, exactly as between two CLI runs.  Before each
+cold pass the cache directory is emptied again.  With ``--passes``
+the passes run in this interpreter (the traced pair, whose counts and
+self times describe one process).
 
 ``--check`` adds one untimed pass of each other read mode over the
-same cache, whose report digests the parent compares.  ``--trace``
-installs the outside-in tracer (and the program's own counters).
+same cache (forked too), whose report digests the parent compares.
+``--trace`` installs the outside-in tracer (and the program's own
+counters).
 
 The last stdout line is a JSON object; ``setup_mark`` is a
 ``time.monotonic()`` reading, comparable with the parent's clock.
@@ -27,7 +36,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import resource
+import shutil
 import sys
 import tempfile
 import time
@@ -45,10 +56,11 @@ def _parse_args(argv):
     parser.add_argument("--households", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=0.0,
-                        help="run read passes until this much time is "
+                        help="run forked passes until this much time is "
                              "measured (at least one pass)")
     parser.add_argument("--passes", type=int, default=0,
-                        help="run exactly this many read passes")
+                        help="run exactly this many passes in this "
+                             "interpreter")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes of a cold pass")
     parser.add_argument("--check", action="store_true")
@@ -67,6 +79,40 @@ def _quarantined(findings) -> int:
                 for finding, __ in findings
                 if finding.code == DEGRADATION_CODE
                 for evidence in finding.evidence})
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _forked(work) -> dict:
+    """``work()`` in a child forked from this process; returns its dict.
+
+    The child sends its result (plus its own peak RSS) through a pipe
+    and leaves with ``os._exit``, so no exit handler of the parent runs
+    twice; the parent waits for it before returning."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            result = work()
+            result["peak_rss_mb"] = _peak_rss_mb()
+            with os.fdopen(writer, "wb") as pipe:
+                pipe.write(json.dumps(result).encode("utf-8"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    with os.fdopen(reader, "rb") as pipe:
+        payload = pipe.read()
+    __, status = os.waitpid(pid, 0)
+    if status != 0 or not payload:
+        raise RuntimeError(f"forked pass ended with status {status}")
+    return json.loads(payload.decode("utf-8"))
 
 
 def main(argv=None) -> int:
@@ -131,20 +177,29 @@ def main(argv=None) -> int:
                 "failed": _quarantined(findings), "sha256": _digest(report),
                 "refusals": refusals}
 
+    def emptied() -> None:
+        """Back to the empty cache a fresh cold interpreter opens."""
+        shutil.rmtree(args.cache)
+        os.makedirs(args.cache)
+
     passes = []
     measured = 0.0
     while True:
-        passes.append(run_pass(args.mode))
+        if args.passes:
+            passes.append(run_pass(args.mode))
+        else:
+            if args.mode == "cold" and passes:
+                emptied()
+            passes.append(_forked(lambda: run_pass(args.mode)))
         measured += passes[-1]["seconds"]
-        if args.mode == "cold":
-            break
         if args.passes:
             if len(passes) >= args.passes:
                 break
         elif measured >= args.seconds:
             break
     wall_s = time.perf_counter() - WALL_STARTED
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    rss_mb = max([_peak_rss_mb()] + [p["peak_rss_mb"] for p in passes
+                                     if "peak_rss_mb" in p])
 
     output = {"mode": args.mode, "setup_mark": setup_mark,
               "passes": passes, "wall_s": wall_s, "peak_rss_mb": rss_mb,
@@ -165,7 +220,8 @@ def main(argv=None) -> int:
     if args.check:
         others = {"cold": ("replay", "serve"), "replay": ("serve",),
                   "serve": ("replay",)}[args.mode]
-        output["checks"] = [run_pass(mode) for mode in others]
+        output["checks"] = [_forked(lambda: run_pass(mode))
+                            for mode in others]
     print(json.dumps(output))
     return 0
 

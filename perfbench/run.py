@@ -9,11 +9,12 @@ Usage (from the repository root)::
 Each workload audits one generated population (the default uk+us mix,
 drawn from ``--seed``; its size is in ``WORKLOADS``) through the same
 public entry points the CLI uses: ``FleetRunner.run``,
-``serve_fleet`` and ``render_population_report``.  Every measurement
-runs in a fresh interpreter (``child.py``) against a result cache and
-checkpoint directory inside this run's own scratch directory, which is
-removed at the end.  See ``perfbench/README.md`` for the workloads, the
-metrics and what each layer should move.
+``serve_fleet`` and ``render_population_report``.  Every set-up runs
+in a fresh interpreter (``child.py``), and every timed pass in a
+process forked from one right after its set-up, against a result cache
+and checkpoint directory inside this run's own scratch directory,
+which is removed at the end.  See ``perfbench/README.md`` for the
+workloads, the metrics and what each layer should move.
 
 Output: a human-readable block, then, as the last stdout line, one JSON
 object ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0``
@@ -45,21 +46,23 @@ CHILD = os.path.join(HERE, "child.py")
 EXPECTED = os.path.join(HERE, "expected.json")
 
 #: workload -> (timed mode, households).  A cold pass simulates every
-#: household, so ``fleet-cold`` keeps 32.  The read workloads' cost per
-#: household varies more with the population's make-up, so they rerun
-#: passes over 64 households, whose first 32 are ``fleet-cold``'s: the
-#: population never grows with ``--seconds``, only the passes do.
-WORKLOADS = {"fleet-cold": ("cold", 32), "fleet-replay": ("replay", 64),
-             "serve-stream": ("serve", 64)}
+#: household, so ``fleet-cold`` keeps 32.  A read pass's cost per
+#: household varies more with the population's make-up, so the read
+#: workloads audit 192 households (whose first 32 are ``fleet-cold``'s)
+#: to keep one seed's population from reading faster than another's.
+#: The population never grows with ``--seconds``, only the passes do.
+WORKLOADS = {"fleet-cold": ("cold", 32), "fleet-replay": ("replay", 192),
+             "serve-stream": ("serve", 192)}
 DEFAULT_SEED = 7
 #: Worker processes of the unmeasured cold pass that fills the read
 #: workloads' cache (never more than the machine's cores).
 FILL_JOBS = min(2, os.cpu_count() or 1)
-#: Fresh interpreters measured per run; ``setup_s`` is their median.
+#: Fresh interpreters measured per run, each forking passes for its
+#: share of ``--seconds``; ``setup_s`` is the median of their set-ups.
 SETUPS = 3
 #: Read passes of each traced replay/serve interpreter: a fixed amount
 #: of work, so every count in the layer table repeats exactly.
-TRACE_PASSES = 4
+TRACE_PASSES = 2
 #: Every run must finish well inside three minutes.
 DEADLINE_S = 170.0
 
@@ -92,6 +95,9 @@ class Runner:
             # lands in this run's scratch directory, never ~/.cache.
             "REPRO_CACHE_DIR": os.path.join(work, "default-cache"),
             "XDG_CACHE_HOME": os.path.join(work, "xdg"),
+            # One string-hash seed for every interpreter, so two runs'
+            # dicts and sets lay out alike.
+            "PYTHONHASHSEED": "0",
         })
 
     def cache_dir(self) -> str:
@@ -108,16 +114,21 @@ class Runner:
         if remaining <= 0:
             raise BenchError("out of time before the run finished")
         spawned = time.monotonic()
+        # Its own process group, so the passes it forks and the workers
+        # of a fill pass go down with it on every way out.
+        child = subprocess.Popen(command, cwd=ROOT, env=self.env,
+                                 stdout=subprocess.PIPE,
+                                 start_new_session=True)
         try:
-            finished = subprocess.run(
-                command, cwd=ROOT, env=self.env, stdout=subprocess.PIPE,
-                timeout=remaining, check=False)
+            stdout, __ = child.communicate(timeout=remaining)
         except subprocess.TimeoutExpired as exc:
             raise BenchError(f"{mode} child ran out of time") from exc
-        lines = finished.stdout.decode("utf-8", "replace").splitlines()
-        if finished.returncode != 0 or not lines:
+        finally:
+            stop(child)
+        lines = stdout.decode("utf-8", "replace").splitlines()
+        if child.returncode != 0 or not lines:
             raise BenchError(f"{mode} child exited with "
-                             f"{finished.returncode}")
+                             f"{child.returncode}")
         try:
             output = json.loads(lines[-1])
         except ValueError as exc:
@@ -126,49 +137,64 @@ class Runner:
         return output
 
     def measured(self, mode: str, trace: bool) -> list:
-        """Fresh interpreters of one mode, the first also checking the
-        other modes.  Untraced: ``SETUPS`` of them (more for ``cold``
-        until ``--seconds`` are measured).  Traced: an untraced
-        reference, then a traced twin doing exactly the same work."""
-        if mode == "cold":
-            children = [self.spawn("cold", self.cache_dir(), "--check")]
-            if trace:
-                children.append(self.spawn("cold", self.cache_dir(),
-                                           "--trace"))
-            while not trace and (len(children) < SETUPS
-                                 or timed(children) < self.seconds):
-                children.append(self.spawn("cold", self.cache_dir()))
-            return children
-        cache = self.cache_dir()
-        children = [self.spawn("cold", cache, "--jobs", str(FILL_JOBS))]
+        """The run's interpreters; a read workload's first one fills
+        the cache with an unmeasured cold pass.  Untraced: ``SETUPS``
+        interpreters that fork passes, the first also checking the
+        other modes.  Traced: an untraced reference, then a traced twin
+        doing exactly the same work in one process."""
+        children = []
+        shared = None
+        if mode != "cold":
+            shared = self.cache_dir()
+            children.append(self.spawn("cold", shared, "--passes", "1",
+                                       "--jobs", str(FILL_JOBS)))
         if trace:
+            passes = "1" if mode == "cold" else str(TRACE_PASSES)
             for extra in ("--check", "--trace"):
-                children.append(self.spawn(mode, cache, "--passes",
-                                           str(TRACE_PASSES), extra))
+                children.append(self.spawn(mode, shared or self.cache_dir(),
+                                           "--passes", passes, extra))
             return children
-        share = f"{self.seconds / SETUPS:.6f}"
+        measured = 0.0
         for index in range(SETUPS):
+            # What is left of --seconds, shared among the interpreters
+            # still to come (each makes at least one pass).
+            share = max(self.seconds - measured, 0.0) / (SETUPS - index)
             children.append(self.spawn(
-                mode, cache, "--seconds", share,
-                *(["--check"] if index == 0 else [])))
+                mode, shared or self.cache_dir(), "--seconds",
+                f"{share:.6f}", *(["--check"] if index == 0 else [])))
+            measured += sum(p["seconds"] for p in children[-1]["passes"])
         return children
 
 
-def timed(children: list) -> float:
-    return sum(p["seconds"] for child in children for p in child["passes"])
+def stop(child: subprocess.Popen) -> None:
+    """Kill whatever is left of ``child``'s process group and wait for
+    ``child``; the group's other members (orphans by then) are polled
+    until they are gone."""
+    try:
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    child.wait()
+    for __ in range(100):
+        try:
+            os.killpg(child.pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
 
 
 def throughput(passes: list) -> float:
     """Households per second of the run's best pass.
 
-    Every pass of a run audits the same population, and each is cut at
-    the program's progress callbacks into slices that do the same work
-    in every pass.  The best pass takes each slice's fastest time.
-    Interference from the rest of a shared machine only ever adds time,
-    in bursts shorter than a pass, so this is the steadiest estimate of
-    what the work itself costs.  Passes cut differently (which a
-    deterministic program never does) fall back to the fastest whole
-    pass."""
+    Every pass of a run audits the same population from the same
+    post-set-up state (each is forked from a fresh interpreter's
+    set-up), and each is cut at the program's progress callbacks into
+    slices that do the same work in every pass.  The best pass takes
+    each slice's fastest time.  Interference from the rest of a shared
+    machine only ever adds time, in bursts shorter than a run, so this
+    is the steadiest estimate of what the work itself costs.  Passes cut
+    differently (which a deterministic program never does) fall back to
+    the fastest whole pass."""
     cuts = [p["slices"] for p in passes if p["slices"]]
     if not cuts or len({len(cut) for cut in cuts}) != 1:
         return max(p["households"] / p["seconds"] for p in passes)

@@ -1,6 +1,6 @@
 """Self-test: the benchmark's exact counts repeat across two runs.
 
-Usage (from the repository root; about four minutes)::
+Usage (from the repository root; about two minutes)::
 
     python3 perfbench/selftest.py [--seed N]
 
