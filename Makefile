@@ -10,7 +10,7 @@ COV_FLOOR := 75
 
 .PHONY: test test-fast bench bench-grid bench-fleet bench-json \
 	coverage docs-check golden-update report resume-smoke \
-	metrics-smoke tier-smoke chaos-smoke findings-smoke
+	metrics-smoke tier-smoke chaos-smoke findings-smoke perfbench-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -87,6 +87,13 @@ findings-smoke:
 tier-smoke:
 	$(PY) scripts/tier_smoke.py --households $(or $(SMOKE_N),32) \
 		--jobs $(or $(SMOKE_JOBS),8)
+
+# Benchmark correctness smoke: one short pass of every perfbench
+# workload.  Gates only on the exit status (1: a report digest differs
+# from another mode's or from its pin in perfbench/expected.json; 2: the
+# run failed); wall-clock numbers are printed, never gated.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seconds 1
 
 report:
 	$(PY) -m repro.cli report --jobs 4 > EXPERIMENTS.md

@@ -70,10 +70,21 @@ class ViewingSession:
 class AcrBackend:
     """One operator's server stack (Alphonso for LG, Samsung Ads)."""
 
-    def __init__(self, operator: str, library: ReferenceLibrary) -> None:
+    def __init__(self, operator: str, library: ReferenceLibrary,
+                 matcher: Optional[FingerprintMatcher] = None) -> None:
+        """``matcher`` may be shared with other backends over the same
+        ``library``: it holds no per-backend state (its band index is a
+        pure function of the library's entries), so only the events and
+        sessions below are private.  Without one, a private matcher is
+        built."""
+        if matcher is None:
+            matcher = FingerprintMatcher(library)
+        elif matcher.library is not library:
+            raise ValueError("matcher is indexed over a different "
+                             "reference library")
         self.operator = operator
         self.library = library
-        self.matcher = FingerprintMatcher(library)
+        self.matcher = matcher
         self.batches_received = 0
         self.batches_recognised = 0
         self._events: Dict[str, List[ViewingEvent]] = {}

@@ -31,8 +31,20 @@ from .testbed import (Country, ExperimentSpec, Phase, Scenario, Vendor,
 _PHASES = {phase.value: phase for phase in Phase}
 
 
+def _jobs_count(text: str) -> int:
+    """argparse type for ``--jobs``: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--jobs", type=int, default=1,
+    cmd.add_argument("--jobs", type=_jobs_count, default=1,
                      help="worker processes for cell execution "
                           "(1 = serial; results are identical)")
     cmd.add_argument("--seed", type=int, default=7)

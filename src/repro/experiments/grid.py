@@ -37,7 +37,7 @@ from ..faults import NULL_PLAN, FaultPlan, produce_with_retries
 from ..net.addresses import Ipv4Address
 from ..obs.metrics import get_registry, metrics_enabled, scoped
 from ..testbed.campaign import CampaignRunner, cell_key
-from ..util import atomic_write_bytes
+from ..util import atomic_write_bytes, check_jobs
 from ..testbed.experiment import (Country, DEFAULT_DURATION_NS,
                                   ExperimentSpec, Phase, Scenario, Vendor)
 from ..testbed.runner import run_experiment
@@ -403,11 +403,13 @@ def warm_assets(specs: Sequence[ExperimentSpec] = (),
                 countries: Iterable[str] = ()) -> None:
     """Pre-build the shared per-country assets in this process.
 
-    Building a reference fingerprint database takes far longer than
-    simulating a cell, but it is memoized per country.  Pool workers are
-    forked from the parent (Linux default), so warming before the fork
-    lets every worker inherit the assets copy-on-write instead of each
-    rebuilding them from scratch.
+    Building a reference fingerprint database and the matcher's band
+    index over it takes far longer than simulating a cell, but both are
+    memoized per country: the index is built once per country here, not
+    once per backend.  Pool workers are forked from the parent (Linux
+    default), so warming before the fork lets every worker inherit the
+    library and its index copy-on-write instead of each rebuilding them
+    from scratch.
 
     Callers name the countries either through ``specs`` (grid cells) or
     directly via ``countries`` (the fleet runner, which has households
@@ -418,6 +420,7 @@ def warm_assets(specs: Sequence[ExperimentSpec] = (),
                           | set(countries)):
         assets.media_library(country, 0)
         assets.reference_library(country, 0)
+        assets.reference_matcher(country, 0)
         assets.linear_channel(country, 0)
         assets.fast_channel(country, 0)
     assets.ui_item()
@@ -432,7 +435,7 @@ class GridRunner:
                  faults: FaultPlan = NULL_PLAN) -> None:
         self.seed = seed
         self.cache = cache
-        self.jobs = max(1, jobs)
+        self.jobs = check_jobs(jobs)
         self.validate_results = validate_results
         self.faults = faults
 

@@ -40,6 +40,7 @@ from ..net.tiers import resolve_tier
 from ..obs.metrics import get_registry, metrics_enabled, scoped
 from ..testbed.runner import run_session
 from ..testbed.validation import validate_session
+from ..util import check_jobs
 from .aggregate import FleetAggregate, merge_all, summarize_household
 from .population import HouseholdSpec, PopulationSpec
 from .shm import ColumnArena, shm_key
@@ -267,7 +268,7 @@ class FleetRunner:
         if shard_size <= 0:
             raise ValueError("shard size must be positive")
         self.cache = cache
-        self.jobs = max(1, jobs)
+        self.jobs = check_jobs(jobs)
         self.shard_size = shard_size
         self.validate_results = validate_results
         #: Resolved once here so workers get an explicit tier rather

@@ -44,6 +44,7 @@ from ..fleet.runner import household_record
 from ..obs.metrics import get_registry, metrics_enabled, scoped
 from ..sim.clock import milliseconds, seconds
 from ..sim.events import EventLoop
+from ..util import check_jobs
 from .auditor import IncrementalAuditor
 from .bus import DEFAULT_CREDITS, SegmentBus
 from .checkpoint import (load_checkpoint, population_key,
@@ -206,7 +207,7 @@ class _CaptureSource:
         self._cache = cache
         self._validate = validate
         self._lookahead = max(1, lookahead)
-        self._jobs = max(1, jobs)
+        self._jobs = check_jobs(jobs)
         self._faults = faults
         self._pool = None
         self._futures: Dict[int, concurrent.futures.Future] = {}
@@ -307,7 +308,7 @@ class AuditService:
         self.population = population
         self.cache = cache
         self.config = config or ServiceConfig()
-        self.jobs = max(1, jobs)
+        self.jobs = check_jobs(jobs)
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
         self.progress = progress

@@ -5,7 +5,7 @@ campaign-level caching."""
 from .access_point import AccessPoint
 from .assets import (fast_channel, fresh_backend, linear_channel,
                      media_library, ott_playlist, reference_library,
-                     ui_item)
+                     reference_matcher, ui_item)
 from .campaign import CampaignRunner, default_artifact_dir
 from .experiment import (Country, DEFAULT_DURATION_NS, ExperimentSpec,
                          Phase, POWER_ON_AT_NS, Scenario,
@@ -41,6 +41,7 @@ __all__ = [
     "phase_pair",
     "vendor_profile_of",
     "reference_library",
+    "reference_matcher",
     "run_experiment",
     "run_session",
     "scenario_sweep",

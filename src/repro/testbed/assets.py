@@ -1,8 +1,11 @@
 """Shared, cached testbed assets.
 
-Building a reference fingerprint database over a full media library is the
-expensive part of standing up an operator backend; it depends only on
-(country, seed), so experiments share it.  Channels are cached with it.
+Building a reference fingerprint database over a full media library, and
+the matcher's band index over it, is the expensive part of standing up an
+operator backend; both depend only on (country, seed), so experiments
+share them: every backend :func:`fresh_backend` builds for a country
+matches through that country's one :class:`FingerprintMatcher`.  Channels
+are cached with them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from functools import lru_cache
 from typing import List
 
 from ..acr.library import ReferenceLibrary
+from ..acr.matcher import FingerprintMatcher
 from ..acr.server import AcrBackend
 from ..media.content import ContentItem, launcher_item
 from ..media.library import MediaLibrary, standard_library
@@ -42,6 +46,17 @@ def reference_library(country: str, seed: int = 0) -> ReferenceLibrary:
     return reference
 
 
+@lru_cache(maxsize=8)
+def reference_matcher(country: str, seed: int = 0) -> FingerprintMatcher:
+    """The (cached) matcher, band index built, over :func:`reference_library`.
+
+    Shared by every backend of the country: the index is a pure function
+    of the library's entries and nothing mutates the library after it is
+    built (were it to grow, the matcher re-indexes on its next query).
+    """
+    return FingerprintMatcher(reference_library(country, seed))
+
+
 @lru_cache(maxsize=16)
 def linear_channel(country: str, seed: int = 0) -> Channel:
     return build_channel(f"{country}-linear-1",
@@ -62,10 +77,11 @@ def ui_item() -> ContentItem:
 
 
 def fresh_backend(vendor: str, country: str, seed: int = 0) -> AcrBackend:
-    """A new operator backend over the shared reference library."""
+    """A new operator backend over the shared library and matcher."""
     from ..tv import vendors
     operator = vendors.get(vendor).operator
-    return AcrBackend(operator, reference_library(country, seed))
+    return AcrBackend(operator, reference_library(country, seed),
+                      matcher=reference_matcher(country, seed))
 
 
 def ott_playlist(country: str, seed: int = 0) -> List[ContentItem]:

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.acr import (AcrBackend, AcrClient, AcrTransport, CaptureDecision,
-                       FingerprintBatch, ReferenceLibrary, SegmentProfiler,
-                       capture_decision, capture_state, profile_for)
+                       FingerprintBatch, FingerprintMatcher,
+                       ReferenceLibrary, SegmentProfiler, capture_decision,
+                       capture_state, profile_for)
+from repro.experiments.grid import warm_assets
 from repro.media import (HdmiInput, HomeScreen, OttApp, PlayState,
                          ScreenCast, SourceType, Tuner, build_channel,
                          standard_library, ContentItem, ContentKind)
 from repro.sim import minutes, seconds
+from repro.testbed import assets, fresh_backend
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +277,58 @@ class TestSegments:
         profile = profiler.profile("ghost-tv")
         assert profile.segments == []
         assert profile.genre_seconds == {}
+
+
+class TestSharedMatcher:
+    """Backends over one country's reference library share its matcher."""
+
+    def test_same_country_same_matcher(self):
+        first = fresh_backend("lg", "uk")
+        second = fresh_backend("samsung", "uk")
+        assert first is not second
+        assert first.matcher is second.matcher
+        assert first.matcher.library is first.library
+        assert fresh_backend("lg", "us").matcher is not first.matcher
+
+    def test_index_built_once_per_country(self, monkeypatch):
+        libraries = []
+        original = FingerprintMatcher.reindex
+
+        def counting(matcher):
+            libraries.append(matcher.library)
+            original(matcher)
+        monkeypatch.setattr(FingerprintMatcher, "reindex", counting)
+        assets.reference_matcher.cache_clear()
+        warm_assets(countries=["uk"])
+        assert libraries == [assets.reference_library("uk", 0)]
+        for __ in range(4):
+            for vendor in ("lg", "samsung", "roku"):
+                for country in ("uk", "us"):
+                    fresh_backend(vendor, country)
+        assert libraries == [assets.reference_library("uk", 0),
+                             assets.reference_library("us", 0)]
+
+    def test_backend_state_stays_private(self, uk_library):
+        watching = fresh_backend("lg", "uk")
+        idle = fresh_backend("lg", "uk")
+        assert watching.matcher is idle.matcher
+        item = uk_library.shows[0]
+        for i in range(3):
+            captures = [capture_state(PlayState(item, 30.0 + 15 * i + j))
+                        for j in range(6)]
+            watching.ingest(FingerprintBatch("tv-x", captures),
+                            seconds(15) * i)
+        assert watching.batches_received == 3
+        assert watching.batches_recognised == 3
+        assert len(watching.sessions_for("tv-x")) == 1
+        assert idle.batches_received == 0
+        assert idle.batches_recognised == 0
+        assert idle.events_for("tv-x") == []
+        assert idle.sessions_for("tv-x") == []
+
+    def test_matcher_over_other_library_rejected(self, reference):
+        shared = assets.reference_matcher("uk", 0)
+        with pytest.raises(ValueError, match="different reference library"):
+            AcrBackend("alphonso", reference, matcher=shared)
+        backend = AcrBackend("alphonso", shared.library, matcher=shared)
+        assert backend.matcher is shared

@@ -156,3 +156,35 @@ class TestMatcher:
                 if match and match.content_id == item.content_id:
                     hits += 1
         assert hits / trials > 0.9
+
+
+class TestSharedMatcher:
+    """The per-country matcher every ``fresh_backend`` shares answers
+    exactly as a private matcher built over the same library."""
+
+    def test_shared_verdicts_equal_private(self, uk_library, uk_reference):
+        from repro.testbed import reference_matcher
+        shared = reference_matcher("uk", 0)
+        private = FingerprintMatcher(uk_reference)
+        batches = []
+        for item in uk_library.shows[:6] + uk_library.ads[:3]:
+            # On the 2 s reference grid, and between its samples.
+            batches.append([capture_state(PlayState(item, 20.0 + 2 * i))
+                            for i in range(6)])
+            batches.append([capture_state(PlayState(item, 31.0 + 2 * i))
+                            for i in range(6)])
+        batches.append([capture_state(PlayState(uk_library.game(),
+                                                float(i)))
+                        for i in range(6)])
+
+        def answer(verdict):
+            return (verdict.content_id, verdict.votes, verdict.total,
+                    [(m.content_id, m.position_s, m.video_distance,
+                      m.audio_overlap) for m in verdict.matches])
+        answers = [answer(shared.match_batch(batch)) for batch in batches]
+        assert answers == [answer(private.match_batch(batch))
+                           for batch in batches]
+        # The sample spans both outcomes: mostly recognised, game not.
+        assert sum(1 for content, *__ in answers if content) > \
+            len(batches) // 2
+        assert answers[-1][0] is None

@@ -6,6 +6,10 @@ import pytest
 
 import repro.experiments
 from repro.cli import build_parser, main
+from repro.experiments.grid import GridRunner
+from repro.fleet import FleetRunner, PopulationSpec
+from repro.service import serve_fleet
+from repro.service.daemon import _CaptureSource
 from repro.findings import (Evidence, Finding, FindingsLedger,
                             write_findings_jsonl)
 
@@ -174,3 +178,34 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "no ACR candidate domains" in out
+
+
+class TestJobsValidation:
+    """``--jobs`` below 1 is a usage error everywhere, never clamped."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command",
+                             ["grid", "fleet", "serve", "scorecard",
+                              "report"])
+    def test_cli_rejects_with_exit_2(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert f"--jobs: must be at least 1, got {jobs}" in \
+            capsys.readouterr().err
+
+    def test_cli_rejects_non_integer(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--jobs", "two"])
+        assert excinfo.value.code == 2
+        assert "--jobs: not an integer: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda: GridRunner(jobs=0),
+        lambda: FleetRunner(jobs=0),
+        lambda: serve_fleet(PopulationSpec(2, seed=1), jobs=0),
+        lambda: _CaptureSource([], None, 0, validate=True, lookahead=1),
+    ], ids=["GridRunner", "FleetRunner", "serve_fleet", "_CaptureSource"])
+    def test_runners_raise_on_zero_jobs(self, make):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            make()
