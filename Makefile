@@ -10,7 +10,7 @@ COV_FLOOR := 75
 
 .PHONY: test test-fast bench bench-grid bench-fleet bench-json \
 	coverage docs-check golden-update report resume-smoke \
-	metrics-smoke tier-smoke chaos-smoke findings-smoke perfbench-smoke
+	metrics-smoke chaos-smoke findings-smoke perfbench-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -79,13 +79,6 @@ chaos-smoke:
 # the schema checker, and self-diff to zero changes.
 findings-smoke:
 	$(PY) scripts/findings_smoke.py --households $(or $(SMOKE_N),24) \
-		--jobs $(or $(SMOKE_JOBS),8)
-
-# Decode-tier identity smoke: lazy --jobs 1 vs columnar --jobs 8 with
-# shared-memory columns (publish, keep, attach across runs, clean up)
-# must render sha256-identical fleet reports.
-tier-smoke:
-	$(PY) scripts/tier_smoke.py --households $(or $(SMOKE_N),32) \
 		--jobs $(or $(SMOKE_JOBS),8)
 
 # Benchmark correctness smoke: one short pass of every perfbench

@@ -5,12 +5,15 @@ works from the capture alone — packets and the DNS answers inside them —
 never from simulator ground truth, preserving the black-box vantage.
 
 The pipeline is the single decode of a capture: pcap bytes are parsed
-once through the lazy tier (:func:`repro.net.packet.lazy_decode_all` —
-flow keys and lengths from fixed-offset header slices, full object
+once into parallel field columns (:mod:`repro.net.columnar` — flow keys
+and lengths gathered from fixed-offset header slices, full object
 decode only where a packet's payload is actually read, i.e. DNS), and
 every consumer — flow table, DNS map, per-domain index, table/figure/
 finding drivers — shares the resulting indexed view instead of
-re-decoding.
+re-decoding.  :meth:`AuditPipeline.from_pcap_bytes` and
+:meth:`AuditPipeline.incremental` always build that columnar pipeline;
+the base :class:`AuditPipeline`, built directly from a packet list, is
+the reference implementation the equivalence suites compare it with.
 
 Incremental extension
 ---------------------
@@ -38,15 +41,17 @@ import numpy as np
 from ..net.addresses import Ipv4Address
 from ..net.columnar import ColumnarCapture, ColumnarSlice
 from ..net.flow import FlowTable
-from ..net.packet import DecodedPacket, decode_all, lazy_decode_all
-from ..net.pcap import load_bytes
-from ..net.tiers import resolve_tier
+from ..net.packet import DecodedPacket
 from ..obs.metrics import get_registry
 from .dns_map import DnsMap
 
 
 class AuditPipeline:
-    """Decoded capture + DNS map + flow table + per-domain packet index."""
+    """Decoded capture + DNS map + flow table + per-domain packet index.
+
+    Built directly from a list of decoded packets, this is the reference
+    pipeline the equivalence suites hold :class:`ColumnarAuditPipeline`
+    to."""
 
     def __init__(self, packets: Sequence[DecodedPacket],
                  tv_ip: Ipv4Address) -> None:
@@ -65,39 +70,28 @@ class AuditPipeline:
 
     # -- constructors -----------------------------------------------------------
 
+    # Every constructor below builds the production columnar pipeline,
+    # whichever class it is called on.
+
     @classmethod
-    def incremental(cls, tv_ip: Ipv4Address,
-                    tier: Optional[str] = None) -> "AuditPipeline":
+    def incremental(cls, tv_ip: Ipv4Address) -> "ColumnarAuditPipeline":
         """An empty pipeline to be grown segment by segment."""
-        if resolve_tier(tier) == "columnar":
-            return ColumnarAuditPipeline(ColumnarCapture(), tv_ip)
-        return cls((), tv_ip)
+        return ColumnarAuditPipeline(ColumnarCapture(), tv_ip)
 
     @classmethod
     def from_pcap_bytes(cls, raw: bytes,
-                        tv_ip: Optional[Ipv4Address] = None,
-                        tier: Optional[str] = None) -> "AuditPipeline":
-        tier = resolve_tier(tier)
-        if tier == "columnar":
-            capture = ColumnarCapture.from_pcap_bytes(raw)
-            if tv_ip is None:
-                tv_ip = capture.infer_tv_ip()
-            return ColumnarAuditPipeline(capture, tv_ip)
-        if tier == "object":
-            packets: Sequence[DecodedPacket] = decode_all(load_bytes(raw))
-        else:
-            packets = lazy_decode_all(load_bytes(raw))
+                        tv_ip: Optional[Ipv4Address] = None
+                        ) -> "ColumnarAuditPipeline":
+        capture = ColumnarCapture.from_pcap_bytes(raw)
         if tv_ip is None:
-            tv_ip = infer_tv_ip(packets)
-        return cls(packets, tv_ip)
+            tv_ip = capture.infer_tv_ip()
+        return ColumnarAuditPipeline(capture, tv_ip)
 
     @classmethod
-    def from_result(cls, result,
-                    tier: Optional[str] = None) -> "AuditPipeline":
+    def from_result(cls, result) -> "ColumnarAuditPipeline":
         """From an ExperimentResult (reads only its pcap + TV IP)."""
         return cls.from_pcap_bytes(result.pcap_bytes,
-                                   Ipv4Address.parse(result.tv_ip),
-                                   tier=tier)
+                                   Ipv4Address.parse(result.tv_ip))
 
     # -- indexing ----------------------------------------------------------------
 
@@ -137,13 +131,6 @@ class AuditPipeline:
             registry.inc("pipeline.packets.lazy", seq - start)
         self._domain_view = None
         return self
-
-    def extend_pcap_bytes(self, raw: bytes) -> int:
-        """Absorb one pcap-framed capture segment; returns its packet
-        count (the streaming tier's per-segment ingest)."""
-        packets = lazy_decode_all(load_bytes(raw))
-        self.extend(packets)
-        return len(packets)
 
     def _label(self, remote: Ipv4Address) -> str:
         if remote.is_private:
@@ -242,15 +229,15 @@ def infer_tv_ip(packets: Sequence[DecodedPacket]) -> Ipv4Address:
 
 
 class ColumnarAuditPipeline(AuditPipeline):
-    """The columnar decode tier's pipeline: every index and query is a
-    column scan; per-packet objects exist only in query *results*.
+    """The production pipeline: every index and query is a column scan;
+    per-packet objects exist only in query *results*.
 
     ``packets`` is a :class:`~repro.net.columnar.ColumnarCapture` (row
     views on demand) rather than a list, and the per-remote index holds
     u32 address keys and row-index arrays instead of packet objects.
     Query semantics — including tie-breaking, stable sorts, and the
     label-view memoization — replicate the base class bit for bit; the
-    equivalence suite and golden corpus hold the two tiers identical.
+    equivalence suite and golden corpus hold the two identical.
     """
 
     def __init__(self, capture: ColumnarCapture,
@@ -272,6 +259,8 @@ class ColumnarAuditPipeline(AuditPipeline):
                         "use extend_pcap_bytes")
 
     def extend_pcap_bytes(self, raw: bytes) -> int:
+        """Absorb one pcap-framed capture segment; returns its packet
+        count (the streaming service's per-segment ingest)."""
         start, end = self.packets.extend_pcap_bytes(raw)
         self._absorb(start, end)
         return end - start

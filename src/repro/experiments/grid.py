@@ -204,13 +204,11 @@ class CellRecord:
             self._pcap_z = zlib.compress(self.pcap_bytes, 1)
         return self._pcap_z
 
-    def pipeline(self, tier: Optional[str] = None) -> AuditPipeline:
-        """Decode this cell's capture into an audit pipeline (the
-        process-default decode tier unless one is named)."""
+    def pipeline(self) -> AuditPipeline:
+        """Decode this cell's capture into an audit pipeline."""
         with get_registry().span("grid.decode"):
             return AuditPipeline.from_pcap_bytes(
-                self.pcap_bytes, Ipv4Address.parse(self.tv_ip),
-                tier=tier)
+                self.pcap_bytes, Ipv4Address.parse(self.tv_ip))
 
     def meta(self) -> Dict:
         return {

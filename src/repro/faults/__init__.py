@@ -22,6 +22,7 @@ from .inject import (
 from .plan import (
     FAULT_ATTEMPT_CAP,
     FAULT_SITES,
+    LOSSY_SITES,
     NULL_PLAN,
     FaultPlan,
     FaultSpecError,
@@ -33,6 +34,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpecError",
     "InjectedFault",
+    "LOSSY_SITES",
     "NULL_PLAN",
     "degradation_evidence",
     "maybe_raise_worker_fault",

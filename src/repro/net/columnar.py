@@ -1,16 +1,16 @@
-"""Columnar decode tier: a whole capture as parallel field columns.
+"""Columnar decode: a whole capture as parallel field columns.
 
-The third decode tier (after the object and lazy tiers in
-:mod:`repro.net.packet`): walk the pcap record headers once, then
-byte-gather every fixed-offset header field — timestamps, lengths,
-src/dst IPv4 addresses, ports, protocol, the UDP/53 DNS flag — into
-parallel numpy columns.  Zero per-packet Python objects are built;
-consumers scan columns directly, and only the packets whose *payload*
-is actually read (DNS answers) are object-decoded via
-:class:`ColumnarView`, a row adapter with the exact ``LazyPacket``
-attribute surface.
+The production decode (the object and lazy decoders in
+:mod:`repro.net.packet` are its reference implementations): walk the
+pcap record headers once, then byte-gather every fixed-offset header
+field — timestamps, lengths, src/dst IPv4 addresses, ports, protocol,
+the UDP/53 DNS flag — into parallel numpy columns.  Zero per-packet
+Python objects are built; consumers scan columns directly, and only the
+packets whose *payload* is actually read (DNS answers) are
+object-decoded via :class:`ColumnarView`, a row adapter with the exact
+``LazyPacket`` attribute surface.
 
-Equivalence with the reference tiers is non-negotiable and pinned by
+Equivalence with the reference decoders is non-negotiable and pinned by
 the golden corpus and hypothesis suites:
 
 * the record walk raises the same :class:`~repro.net.pcap.PcapError`
@@ -25,10 +25,6 @@ the golden corpus and hypothesis suites:
 The vectorized fast path covers plain ``IHL=20`` IPv4 frames of at
 least 38 bytes — every byte the gathers touch is then inside the
 record's own data, so no mask can misread a neighbouring record.
-
-Columns are plain contiguous arrays, which is what makes the
-shared-memory fleet fan-out (:mod:`repro.fleet.shm`) possible: a worker
-re-attaches the buffers read-only instead of re-decoding the capture.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ _MISSING = object()
 #: Column name -> dtype.  ``off`` is the frame's byte offset inside its
 #: segment buffer; ``src``/``dst`` are big-endian IPv4 values (0 for
 #: non-IP rows); ``sport``/``dport``/``proto`` use -1 for "absent",
-#: mirroring the lazy tier's ``None``.
+#: mirroring ``LazyPacket``'s ``None``.
 COLUMN_DTYPES = (
     ("ts", np.int64),
     ("off", np.int64),
@@ -190,7 +186,7 @@ def _walk_offsets(buf: memoryview, data: np.ndarray, start: int,
 
 
 def _build_columns(buf: memoryview) -> Dict[str, np.ndarray]:
-    """Decode one pcap buffer into columns (the tier's hot path)."""
+    """Decode one pcap buffer into columns (the decode's hot path)."""
     swapped, snaplen, __ = parse_global_header(buf)
     data = np.frombuffer(buf, dtype=np.uint8)
     record, cursor = _walk_offsets(buf, data, GLOBAL_HEADER.size, swapped)
@@ -287,15 +283,14 @@ class ColumnarCapture:
     """A capture decoded into parallel columns, one row per packet.
 
     Supports multi-segment growth (:meth:`extend_pcap_bytes` — the
-    streaming service feeds pcap-framed segments) and a frozen
-    read-only mode for shared-memory attached columns.  Iterating or
+    streaming service feeds pcap-framed segments).  Iterating or
     indexing yields :class:`ColumnarView` rows, so the capture is
     drop-in wherever a list of lazy packets was.
     """
 
     __slots__ = ("ts", "off", "length", "src", "dst", "sport", "dport",
                  "proto", "ihl", "dns", "_seg_starts", "_seg_bufs",
-                 "_intern", "_owner", "frozen")
+                 "_intern")
 
     def __init__(self) -> None:
         for name, dtype in COLUMN_DTYPES:
@@ -303,8 +298,6 @@ class ColumnarCapture:
         self._seg_starts: List[int] = []
         self._seg_bufs: List[memoryview] = []
         self._intern: Dict[int, Ipv4Address] = {}
-        self._owner = None
-        self.frozen = False
 
     # -- constructors -----------------------------------------------------------
 
@@ -315,32 +308,12 @@ class ColumnarCapture:
         capture.extend_pcap_bytes(raw)
         return capture
 
-    @classmethod
-    def from_columns(cls, columns: Dict[str, np.ndarray],
-                     buf: memoryview,
-                     owner=None) -> "ColumnarCapture":
-        """Adopt pre-built columns over one pcap buffer (the
-        shared-memory attach path); the result is frozen.  ``owner``
-        (e.g. the backing ``SharedMemory`` segment) is kept alive for
-        the capture's lifetime so the mapped buffers stay valid."""
-        capture = cls()
-        for name in COLUMN_NAMES:
-            setattr(capture, name, columns[name])
-        capture._seg_starts = [0]
-        capture._seg_bufs = [buf if isinstance(buf, memoryview)
-                             else memoryview(buf)]
-        capture._owner = owner
-        capture.frozen = True
-        return capture
-
     # -- growth -----------------------------------------------------------------
 
     def extend_pcap_bytes(self, raw: Union[bytes, bytearray, memoryview]
                           ) -> Tuple[int, int]:
         """Decode one pcap-framed segment; returns its [start, end) row
         range."""
-        if self.frozen:
-            raise TypeError("shared-memory columns are read-only")
         buf = raw if isinstance(raw, memoryview) else memoryview(raw)
         registry = get_registry()
         with registry.span("decode.columnar.build"):
@@ -426,28 +399,9 @@ class ColumnarCapture:
     def segment_count(self) -> int:
         return len(self._seg_starts)
 
-    @property
-    def buffer(self) -> memoryview:
-        """The single backing pcap buffer (shared-memory publish path —
-        only defined for unsegmented captures)."""
-        if len(self._seg_bufs) != 1:
-            raise ValueError(
-                f"capture has {len(self._seg_bufs)} segments, not 1")
-        return self._seg_bufs[0]
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in COLUMN_NAMES}
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes needed to publish this capture (columns + raw pcap)."""
-        return (sum(getattr(self, name).nbytes for name in COLUMN_NAMES)
-                + sum(len(buf) for buf in self._seg_bufs))
-
     def __repr__(self) -> str:
         return (f"ColumnarCapture({len(self.ts)} packets, "
-                f"{self.segment_count} segments"
-                f"{', frozen' if self.frozen else ''})")
+                f"{self.segment_count} segments)")
 
 
 class ColumnarView:

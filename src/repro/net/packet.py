@@ -1,4 +1,4 @@
-"""Captured-packet model and the two decode tiers.
+"""Captured-packet model and the two per-packet decoders.
 
 A :class:`CapturedPacket` is what the access point's tap records: a
 timestamp plus raw Ethernet bytes.  Two views re-parse those bytes:
@@ -13,8 +13,11 @@ timestamp plus raw Ethernet bytes.  Two views re-parse those bytes:
   memoized full decode).
 
 The analysis pipeline only ever sees decoded views of raw captures,
-mirroring the paper's capture-then-analyze workflow; the lazy tier is
-what lets it decode population-scale captures once, cheaply.
+mirroring the paper's capture-then-analyze workflow.  It decodes with
+the columnar decoder (:mod:`repro.net.columnar`), which re-runs every
+frame its vectorized path cannot prove well-formed through
+:class:`LazyPacket`; both decoders here are its reference
+implementations in the equivalence suites.
 """
 
 from __future__ import annotations

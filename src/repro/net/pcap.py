@@ -145,7 +145,7 @@ def iter_records(buf, start: int = 0
     record without copying a single frame byte — consumers slice (or
     index into) the one buffer they already hold.  This is the
     mmap-friendly walk under both :func:`load_bytes` and the columnar
-    decode tier.  ``start`` skips an already-validated global header so
+    decode.  ``start`` skips an already-validated global header so
     capture *segments* (record stream only) can reuse the same walk.
     """
     if start == 0:

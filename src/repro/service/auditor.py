@@ -51,7 +51,7 @@ class HouseholdIngest:
     def ingest(self, segment: CaptureSegment) -> None:
         """Extend the pipeline with one (in-order) segment.
 
-        A segment the decode tier rejects is quarantined, not fatal:
+        A segment the columnar decode rejects is quarantined, not fatal:
         the decodable records are salvaged and applied, each dropped
         record becomes a degradation finding, and byte/packet
         accounting covers only what was actually audited.
@@ -71,7 +71,7 @@ class HouseholdIngest:
                     before: int):
         """Recover what a rejected segment still holds.
 
-        Both decode tiers validate a whole extension before mutating,
+        The columnar decode validates a whole extension before mutating,
         so the normal case re-extends with the salvaged records.  The
         defensive branch (state *did* move — possible only for decode
         errors past that validation surface) degrades the entire

@@ -41,7 +41,8 @@ import os
 import re
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..faults import FAULT_ATTEMPT_CAP, NULL_PLAN, FaultPlan
+from ..experiments.grid import code_version
+from ..faults import FAULT_ATTEMPT_CAP, LOSSY_SITES, NULL_PLAN, FaultPlan
 from ..fleet.aggregate import FleetAggregate
 from ..obs.metrics import get_registry
 from ..util import atomic_write_text
@@ -109,19 +110,25 @@ class Checkpoint:
                 f"households, {len(self.cursors)} in flight)")
 
 
-def population_key(seed: int, mixes: Mapping[str, Mapping[str, float]]
-                   ) -> str:
-    """Identity of a fleet for resume guarding: seed + mixes, not N.
+def population_key(seed: int, mixes: Mapping[str, Mapping[str, float]],
+                   faults: FaultPlan = NULL_PLAN) -> str:
+    """Identity of a fleet's answer for resume guarding, not of its N.
 
-    Household ``i`` is a pure function of ``(seed, mixes, i)``, so a
-    checkpoint is valid for any population size over the same draws —
-    that is exactly what lets ``--resume`` grow a fleet in place.
+    Household ``i``'s audit is a pure function of ``(seed, mixes, i)``,
+    the code version and the plan's lossy sites (with their rates and
+    the fault seed), so the key covers exactly those.  N stays out —
+    that is what lets ``--resume`` grow a fleet in place — and so do
+    lossless sites, which never change the report.
     """
     canonical = {axis: {value: float(weight)
                         for value, weight in sorted(weights.items())}
                  for axis, weights in sorted(mixes.items())}
-    return json.dumps({"seed": seed, "mixes": canonical},
-                      sort_keys=True, separators=(",", ":"))
+    identity = {"seed": seed, "mixes": canonical, "code": code_version()}
+    lossy = {site: rate for site, rate in faults.rates.items()
+             if site in LOSSY_SITES}
+    if lossy:
+        identity["lossy"] = {"rates": lossy, "seed": faults.seed}
+    return json.dumps(identity, sort_keys=True, separators=(",", ":"))
 
 
 def _document_digest(document: Mapping) -> str:
@@ -236,8 +243,9 @@ def load_checkpoint(directory: str,
         seen_payloads.add(payload_id)
         if expect_key is not None and document["population"] != expect_key:
             raise CheckpointError(
-                "checkpoint belongs to a different fleet (seed/mix "
-                "mismatch); refusing to merge incompatible populations")
+                "checkpoint belongs to a different fleet (seed, mix, "
+                "code version or lossy fault plan mismatch); refusing "
+                "to merge incompatible populations")
         if failures:
             registry.inc("checkpoint.fallback", len(failures))
             registry.inc("faults.recovered.checkpoint.fallback")

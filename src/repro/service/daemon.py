@@ -101,7 +101,7 @@ class ServiceConfig:
     resume without perturbing the report — only the fleet identity
     (seed + mixes) is load-bearing.  (``faults`` with *lossy* sites —
     ``pcap.*`` — is the one exception: quarantined records change what
-    gets audited, visibly and with evidence.)"""
+    gets audited, so the resume guard keys on them.)"""
 
     __slots__ = ("window", "credits", "segments", "checkpoint_every",
                  "arrival_seed", "validate_results", "faults")
@@ -332,7 +332,7 @@ class AuditService:
         started = time.perf_counter()
         config = self.config
         key = population_key(self.population.seed,
-                             self.population.mixes)
+                             self.population.mixes, config.faults)
 
         state = LiveState()
         resumed = 0
@@ -525,7 +525,8 @@ class AuditService:
             path = write_checkpoint(
                 self.checkpoint_dir, state, auditor.cursors(),
                 population_key(self.population.seed,
-                               self.population.mixes),
+                               self.population.mixes,
+                               self.config.faults),
                 self.population.households,
                 segments_folded=auditor.segments_ingested,
                 faults=self.config.faults)

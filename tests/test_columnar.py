@@ -1,12 +1,12 @@
-"""Equivalence and lifetime tests for the columnar decode tier.
+"""Equivalence tests for the columnar decode.
 
-The columnar tier (:mod:`repro.net.columnar`) is only allowed to change
-*speed*: every query the audit pipeline answers — domains, byte totals,
-flow tables, upload timestamps, CDF curves — must be identical to the
-object and lazy reference tiers, under hypothesis-generated captures
-including malformed/snaplen-clipped frames (same errors, same order)
-and arbitrary segment cuts (incremental == batch).  The shared-memory
-arena tests pin the publish/attach round trip and segment lifetime.
+The columnar decode (:mod:`repro.net.columnar`) is the production
+decode, and it must answer exactly like the reference pipeline built
+from object-decoded packets: every query the audit pipeline answers —
+domains, byte totals, flow tables, upload timestamps, CDF curves — is
+identical under hypothesis-generated captures, including malformed/
+snaplen-clipped frames (same errors as the ``LazyPacket`` reference,
+same order) and arbitrary segment cuts (incremental == batch).
 """
 
 import numpy as np
@@ -19,9 +19,9 @@ from repro.analysis.cdf import cumulative_bytes
 from repro.analysis.pipeline import ColumnarAuditPipeline
 from repro.net import (CapturedPacket, ColumnarCapture, ColumnarSlice,
                        DnsMessage, DnsRecord, EthernetFrame, Ipv4Address,
-                       MacAddress, PcapError, TcpSegment, dump_bytes)
+                       MacAddress, PcapError, TcpSegment, decode_all,
+                       dump_bytes, lazy_decode_all, load_bytes)
 from repro.net.packet import build_tcp_frame, build_udp_frame
-from repro.net.tiers import DECODE_TIERS
 
 MAC_TV = MacAddress.parse("02:00:00:00:00:01")
 MAC_GW = MacAddress.parse("02:00:00:00:00:02")
@@ -93,9 +93,24 @@ def _frames(items):
     return packets
 
 
-def _pipelines(raw):
-    return {tier: AuditPipeline.from_pcap_bytes(raw, TV, tier=tier)
-            for tier in DECODE_TIERS}
+def _reference(raw, tv=TV):
+    """The oracle: the base pipeline over object-decoded packets."""
+    return AuditPipeline(decode_all(load_bytes(raw)), tv)
+
+
+def _lazy_reference(raw, tv=TV):
+    """The base pipeline over ``LazyPacket`` rows, whose error messages
+    the columnar decode reproduces."""
+    return AuditPipeline(lazy_decode_all(load_bytes(raw)), tv)
+
+
+def _columnar(raw, tv=TV):
+    return AuditPipeline.from_pcap_bytes(raw, tv)
+
+
+#: Every way a capture is decoded: the production decode plus both
+#: reference decoders.
+DECODERS = (_reference, _lazy_reference, _columnar)
 
 
 def _flow_stats(pipeline):
@@ -127,7 +142,7 @@ def _assert_queries_agree(reference, columnar):
 
 
 class TestRowEquivalence:
-    """Every row field matches the lazy tier, byte for byte."""
+    """Every row field matches ``LazyPacket``, byte for byte."""
 
     @given(events)
     @settings(max_examples=40, deadline=None)
@@ -135,7 +150,7 @@ class TestRowEquivalence:
         packets = _frames(items)
         raw = dump_bytes(packets)
         capture = ColumnarCapture.from_pcap_bytes(raw)
-        lazy = _pipelines(raw)["lazy"].packets
+        lazy = lazy_decode_all(load_bytes(raw))
         assert len(capture) == len(lazy)
         for view, ref in zip(capture, lazy):
             assert view.timestamp == ref.timestamp
@@ -181,9 +196,8 @@ class TestRowEquivalence:
         packets = _frames(items)
         raw = dump_bytes(packets)
         capture = ColumnarCapture.from_pcap_bytes(raw)
-        lazy = _pipelines(raw)["lazy"].packets
         try:
-            expected = infer_tv_ip(lazy)
+            expected = infer_tv_ip(decode_all(load_bytes(raw)))
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
                 capture.infer_tv_ip()
@@ -196,32 +210,28 @@ class TestPipelineEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_queries_identical_across_all_tiers(self, items):
         raw = dump_bytes(_frames(items))
-        tiers = _pipelines(raw)
-        _assert_queries_agree(tiers["object"], tiers["columnar"])
-        _assert_queries_agree(tiers["lazy"], tiers["columnar"])
+        _assert_queries_agree(_reference(raw), _columnar(raw))
 
     @given(events, st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_cdf_curves_identical(self, items, sent_only):
         raw = dump_bytes(_frames(items))
-        tiers = _pipelines(raw)
-        domains = sorted(tiers["object"]._domain_index())
+        reference = _reference(raw)
+        domains = sorted(reference._domain_index())
         window = (0, 60 * 1_000_000_000)
         sender = TV if sent_only else None
-        curves = [cumulative_bytes(tiers[tier].packets_for_all(domains),
-                                   *window, sent_only_from=sender)
-                  for tier in DECODE_TIERS]
-        reference = curves[0]
-        for curve in curves[1:]:
-            assert np.array_equal(curve.times_s, reference.times_s)
-            assert np.array_equal(curve.cumulative_bytes,
-                                  reference.cumulative_bytes)
-            assert curve.total_bytes == reference.total_bytes
+        expected, curve = [
+            cumulative_bytes(pipeline.packets_for_all(domains), *window,
+                             sent_only_from=sender)
+            for pipeline in (reference, _columnar(raw))]
+        assert np.array_equal(curve.times_s, expected.times_s)
+        assert np.array_equal(curve.cumulative_bytes,
+                              expected.cumulative_bytes)
+        assert curve.total_bytes == expected.total_bytes
 
     def test_unknown_domain_compares_equal_to_empty_list(self):
         raw = dump_bytes(_frames([("tcp", 0, True, 5000, b"x")]))
-        pipeline = AuditPipeline.from_pcap_bytes(raw, TV,
-                                                 tier="columnar")
+        pipeline = AuditPipeline.from_pcap_bytes(raw, TV)
         assert isinstance(pipeline, ColumnarAuditPipeline)
         assert pipeline.packets_for("ghost.example") == []
 
@@ -236,30 +246,21 @@ class TestIncrementalSegments:
         segments = [dump_bytes(packets[lo:hi])
                     for lo, hi in zip(bounds[:-1], bounds[1:])] \
             or [dump_bytes([])]
-        grown = AuditPipeline.incremental(TV, tier="columnar")
+        grown = AuditPipeline.incremental(TV)
         assert isinstance(grown, ColumnarAuditPipeline)
         assert sum(grown.extend_pcap_bytes(segment)
                    for segment in segments) == len(packets)
-        batch = AuditPipeline.from_pcap_bytes(dump_bytes(packets), TV,
-                                              tier="columnar")
-        lazy = AuditPipeline.incremental(TV, tier="lazy")
+        batch = AuditPipeline.from_pcap_bytes(dump_bytes(packets), TV)
+        reference = AuditPipeline((), TV)
         for segment in segments:
-            lazy.extend_pcap_bytes(segment)
-        _assert_queries_agree(lazy, grown)
+            reference.extend(decode_all(load_bytes(segment)))
+        _assert_queries_agree(reference, grown)
         _assert_queries_agree(batch, grown)
 
     def test_columnar_pipeline_rejects_object_extend(self):
-        pipeline = AuditPipeline.incremental(TV, tier="columnar")
+        pipeline = AuditPipeline.incremental(TV)
         with pytest.raises(TypeError, match="extend_pcap_bytes"):
             pipeline.extend([])
-
-    def test_frozen_capture_rejects_growth(self):
-        raw = dump_bytes(_frames([("tcp", 0, True, 5000, b"x")]))
-        capture = ColumnarCapture.from_pcap_bytes(raw)
-        frozen = ColumnarCapture.from_columns(capture.columns(),
-                                              memoryview(raw))
-        with pytest.raises(TypeError, match="read-only"):
-            frozen.extend_pcap_bytes(raw)
 
 
 class TestErrorSurface:
@@ -274,9 +275,9 @@ class TestErrorSurface:
             CapturedPacket(1_000_000, frame))
         raw = buffer.getvalue()
         with pytest.raises(ValueError) as lazy_err:
-            AuditPipeline.from_pcap_bytes(raw, TV, tier="lazy")
+            _lazy_reference(raw)
         with pytest.raises(ValueError) as columnar_err:
-            AuditPipeline.from_pcap_bytes(raw, TV, tier="columnar")
+            _columnar(raw)
         assert str(columnar_err.value) == str(lazy_err.value)
 
     @pytest.mark.parametrize("clip", [20, 40, 64])
@@ -284,12 +285,12 @@ class TestErrorSurface:
         frame = build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[1],
                                 40000, 7777, b"y" * 100)
         raw = dump_bytes([CapturedPacket(1_000_000, frame[:clip])])
-        errors = {}
-        for tier in ("lazy", "columnar"):
+        errors = []
+        for decode in (_lazy_reference, _columnar):
             with pytest.raises(ValueError) as excinfo:
-                AuditPipeline.from_pcap_bytes(raw, TV, tier=tier)
-            errors[tier] = str(excinfo.value)
-        assert errors["columnar"] == errors["lazy"]
+                decode(raw)
+            errors.append(str(excinfo.value))
+        assert errors[1] == errors[0]
 
     def test_first_bad_frame_wins(self):
         good = build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[0],
@@ -302,13 +303,13 @@ class TestErrorSurface:
             CapturedPacket(1_000_000, good),
             CapturedPacket(2_000_000, bytes(bad_ihl)),
             CapturedPacket(3_000_000, bytes(bad_version))])
-        for tier in ("lazy", "columnar"):
+        for decode in (_lazy_reference, _columnar):
             with pytest.raises(ValueError, match="bad IHL: 4"):
-                AuditPipeline.from_pcap_bytes(raw, TV, tier=tier)
+                decode(raw)
 
     def test_pcap_error_precedes_frame_error(self):
         # The record walk finishes before any frame decodes in every
-        # tier, so a truncated trailing record must mask an earlier
+        # decoder, so a truncated trailing record must mask an earlier
         # malformed frame.
         bad = bytearray(build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[0],
                                         40000, 7777, b"zz"))
@@ -316,18 +317,18 @@ class TestErrorSurface:
         raw = dump_bytes([CapturedPacket(1_000_000, bytes(bad)),
                           CapturedPacket(2_000_000, bad_frame_tail())])
         truncated = raw[:-4]
-        for tier in DECODE_TIERS:
+        for decode in DECODERS:
             with pytest.raises(PcapError, match="truncated pcap record"):
-                AuditPipeline.from_pcap_bytes(truncated, TV, tier=tier)
+                decode(truncated)
 
     def test_implausible_record_length_matches_reader(self):
         raw = bytearray(dump_bytes(
             [CapturedPacket(1_000_000, b"\x00" * 20)]))
         raw[24 + 8:24 + 12] = (2 ** 31).to_bytes(4, "little")
-        for tier in DECODE_TIERS:
+        for decode in DECODERS:
             with pytest.raises(PcapError,
                                match="implausible record length"):
-                AuditPipeline.from_pcap_bytes(bytes(raw), TV, tier=tier)
+                decode(bytes(raw))
 
 
 def bad_frame_tail() -> bytes:
@@ -342,9 +343,7 @@ class TestColumnarSlice:
             ("tcp", 0, True, 5000, b"a"),
             ("tcp", 0, False, 5000, b"bb"),
             ("tcp", 0, True, 5001, b"ccc")]))
-        pipeline = AuditPipeline.from_pcap_bytes(raw, TV,
-                                                 tier="columnar")
-        return pipeline.packets_for(NAMES[0])
+        return _columnar(raw).packets_for(NAMES[0])
 
     def test_len_iter_getitem(self):
         result = self._slice()
@@ -360,178 +359,19 @@ class TestColumnarSlice:
         result = self._slice()
         assert result == result[:]
         assert not result == result[1:]
-        assert AuditPipeline.from_pcap_bytes(
-            dump_bytes(_frames([])), TV,
-            tier="columnar").packets_for("nothing") == []
-
-
-class TestSharedMemoryArena:
-    def _capture(self):
-        raw = dump_bytes(_frames([
-            ("dns", 0, 0), ("tcp", 0, True, 5000, b"hello"),
-            ("udp", 1, False, 6000, b"world"), ("arp", True)]))
-        return ColumnarCapture.from_pcap_bytes(raw), raw
-
-    @staticmethod
-    def _check_attached(key, capture, raw):
-        # Scoped so every view over the shared mapping is released
-        # before the segment is unlinked (no exported-pointer teardown).
-        from repro.fleet.shm import ColumnArena
-        attached, meta = ColumnArena().attach(key)
-        assert meta == {"tv_ip": str(TV)}
-        assert attached.frozen
-        for name, mine in attached.columns().items():
-            assert np.array_equal(mine, capture.columns()[name])
-            assert not mine.flags.writeable
-        assert bytes(attached.buffer) == raw
-        view = ref = None
-        for view, ref in zip(attached, capture):
-            assert view.timestamp == ref.timestamp
-            assert view.src_ip == ref.src_ip
-        # Release every view over the mapping before the capture (and
-        # with it the segment) goes away — teardown order in a dying
-        # frame is otherwise arbitrary.
-        del mine, view, ref
-
-    def test_publish_attach_round_trip(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, raw = self._capture()
-        key = shm_key("hh-0001", 123, 7, "v-test")
-        arena = ColumnArena()
-        try:
-            assert arena.publish(key, capture,
-                                 {"tv_ip": str(TV)}) == key
-            self._check_attached(key, capture, raw)
-        finally:
-            assert ColumnArena.unlink(key)
-        assert ColumnArena().attach(key) is None
-        assert not ColumnArena.unlink(key)
-
-    def test_same_coordinates_same_key(self):
-        from repro.fleet.shm import SHM_PREFIX, shm_key
-        assert shm_key("a", 1, 2, "v") == shm_key("a", 1, 2, "v")
-        assert shm_key("a", 1, 2, "v") != shm_key("a", 1, 2, "w")
-        assert shm_key("a", 1, 2, None).startswith(SHM_PREFIX)
-
-    def test_over_budget_publish_is_skipped(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, __ = self._capture()
-        arena = ColumnArena(budget_bytes=8)
-        assert arena.publish(shm_key("hh-0002", 1, 2, None), capture,
-                             {}) is None
-
-    def test_multi_segment_capture_is_skipped(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, raw = self._capture()
-        capture.extend_pcap_bytes(raw)
-        assert capture.segment_count == 2
-        assert ColumnArena().publish(shm_key("hh-0003", 1, 2, None),
-                                     capture, {}) is None
-
-    def test_publish_race_loser_skips(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, __ = self._capture()
-        key = shm_key("hh-0004", 9, 9, None)
-        first, second = ColumnArena(), ColumnArena()
-        try:
-            assert first.publish(key, capture, {"tv_ip": str(TV)}) == key
-            assert second.publish(key, capture,
-                                  {"tv_ip": str(TV)}) is None
-        finally:
-            assert ColumnArena.unlink(key)
-
-
-def _shm_exists(key: str) -> bool:
-    from multiprocessing import shared_memory
-    from repro.fleet.shm import _untrack
-    try:
-        segment = shared_memory.SharedMemory(name=key)
-    except FileNotFoundError:
-        return False
-    _untrack(segment)
-    segment.close()
-    return True
-
-
-@pytest.mark.slow
-class TestFleetSharedMemory:
-    """--shm-columns must change only where columns come from: reports
-    stay byte-identical, and segment lifetime follows --shm-keep."""
-
-    MIXES = {"country": {"uk": 1.0}, "diary": {"second_screen": 1.0}}
-
-    def test_keep_publish_attach_cleanup_cycle(self, tmp_path):
-        from repro.experiments.grid import ResultCache
-        from repro.fleet import (FleetRunner, PopulationSpec,
-                                 render_population_report)
-        from repro.fleet.shm import shm_key
-        population = PopulationSpec(3, seed=21, mixes=self.MIXES)
-        version = "shm-t1"
-
-        def runner(**kwargs):
-            return FleetRunner(
-                cache=ResultCache(str(tmp_path), version=version),
-                jobs=1, **kwargs)
-
-        base = runner().run(population)
-        keys = [shm_key(h.label, h.diary_obj.duration_ns, h.seed,
-                        version) for h in population]
-
-        keep = runner(shm_columns=True, shm_keep=True).run(population)
-        assert all(_shm_exists(key) for key in keys)
-        assert keep.aggregate == base.aggregate
-
-        # The next run audits straight off the published segments (no
-        # cache read, counted as cached) and, without --shm-keep,
-        # unlinks everything it touched on the way out.
-        attach = runner(shm_columns=True).run(population)
-        assert (attach.executed, attach.cached) == (0, 3)
-        assert not any(_shm_exists(key) for key in keys)
-        assert render_population_report(attach.aggregate, population) \
-            == render_population_report(base.aggregate, population)
-
-    def test_parallel_shm_report_matches_serial_plain(self, tmp_path):
-        from repro.experiments.grid import ResultCache
-        from repro.fleet import (FleetRunner, PopulationSpec,
-                                 render_population_report)
-        population = PopulationSpec(4, seed=23, mixes=self.MIXES)
-        cache = lambda: ResultCache(str(tmp_path), version="shm-t2")  # noqa: E731
-        plain = FleetRunner(cache=cache(), jobs=1, shard_size=2).run(
-            population)
-        shm = FleetRunner(cache=cache(), jobs=2, shard_size=2,
-                          shm_columns=True).run(population)
-        assert shm.aggregate == plain.aggregate
-        assert render_population_report(shm.aggregate, population) \
-            == render_population_report(plain.aggregate, population)
-
-    def test_non_columnar_tier_never_touches_shm(self, tmp_path):
-        from repro.experiments.grid import ResultCache
-        from repro.fleet import FleetRunner, PopulationSpec
-        from repro.fleet.shm import shm_key
-        population = PopulationSpec(2, seed=24, mixes=self.MIXES)
-        version = "shm-t3"
-        result = FleetRunner(
-            cache=ResultCache(str(tmp_path), version=version),
-            jobs=1, decode_tier="lazy", shm_columns=True,
-            shm_keep=True).run(population)
-        assert result.households == 2
-        assert not any(
-            _shm_exists(shm_key(h.label, h.diary_obj.duration_ns,
-                                h.seed, version))
-            for h in population)
+        assert _columnar(dump_bytes(_frames([]))).packets_for(
+            "nothing") == []
 
 
 @pytest.mark.slow
 class TestRealCaptureTiers:
-    """Tier equivalence on a genuine simulated experiment capture."""
+    """Columnar == reference on a genuine simulated experiment capture."""
 
     def test_experiment_capture_identical_across_tiers(
             self, lg_uk_linear_result):
         raw = lg_uk_linear_result.pcap_bytes
         tv = Ipv4Address.parse(lg_uk_linear_result.tv_ip)
-        tiers = {tier: AuditPipeline.from_pcap_bytes(raw, tv, tier=tier)
-                 for tier in DECODE_TIERS}
-        assert isinstance(tiers["columnar"], ColumnarAuditPipeline)
-        _assert_queries_agree(tiers["object"], tiers["columnar"])
-        _assert_queries_agree(tiers["lazy"], tiers["columnar"])
+        columnar = _columnar(raw, tv)
+        assert isinstance(columnar, ColumnarAuditPipeline)
+        _assert_queries_agree(_reference(raw, tv), columnar)
         assert ColumnarCapture.from_pcap_bytes(raw).infer_tv_ip() == tv

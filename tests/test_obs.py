@@ -283,27 +283,17 @@ class TestRenderFrame:
         assert "0/0 cells" in frame
 
     def test_columns_row_absent_without_decode_counters(self):
-        # The golden frame above predates the columnar tier; frames
+        # The golden frame above predates the columnar decode; frames
         # from runs that never touch it must not change.
         assert "columns" not in render_frame(_view(), width=80)
-
-    def test_columns_row_shm_meter(self):
-        registry = _registry()
-        registry.inc("decode.columnar.packets", 5556)
-        registry.inc("decode.columnar.shm.attach", 3)
-        registry.inc("decode.columnar.shm.publish", 1)
-        frame = render_frame(_view(snapshot=registry.snapshot()),
-                             width=80, color=False)
-        assert ("│ columns  [###############-----]  75.0% shm   "
-                "(3 attach / 1 publish / 0 skip) │") in frame
 
     def test_columns_row_without_arena_reports_decodes(self):
         registry = _registry()
         registry.inc("decode.columnar.packets", 5556)
         frame = render_frame(_view(snapshot=registry.snapshot()),
                              width=80, color=False)
-        assert "columns  5556 pkts decoded (no shared-memory arena)" \
-            in frame
+        assert "│ columns  5556 pkts decoded" in frame
+        assert "shared-memory" not in frame
 
     def test_faults_row_absent_without_fault_counters(self):
         # Clean runs never show the faults meter, so every pre-existing
@@ -456,8 +446,8 @@ class TestFleetMetricsJobsInvariance:
     memo splits, which are documented as non-deterministic)."""
 
     #: Counters whose totals must match exactly across job counts.
-    #: (The fleet decodes through the columnar tier by default, so the
-    #: per-packet decode count is ``decode.columnar.packets``.)
+    #: (The fleet always decodes columnar, so the per-packet decode
+    #: count is ``decode.columnar.packets``.)
     DETERMINISTIC = ("fleet.households", "fleet.shards.completed",
                      "pipeline.extends", "decode.columnar.packets",
                      "pipeline.domain_view.build",

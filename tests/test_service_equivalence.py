@@ -306,6 +306,67 @@ class TestCheckpointDurability:
                 <= CHECKPOINT_KEEP
 
 
+@pytest.mark.slow
+class TestResumeGuardKeysOnTheAnswer:
+    """A checkpoint resumes only under everything that fixed its
+    answer: code version and lossy fault plan as well as seed + mixes.
+    Lossless fault sites stay out of the guard."""
+
+    def _interrupt(self, cache, population, ckdir):
+        ticks = [0]
+
+        def stop_check():
+            ticks[0] += 1
+            return ticks[0] > 6
+
+        with pytest.raises(ServiceStopped):
+            serve_fleet(population, cache=cache,
+                        config=ServiceConfig(segments=4,
+                                             checkpoint_every=1),
+                        checkpoint_dir=ckdir, stop_check=stop_check)
+
+    @staticmethod
+    def _serve_resume(ckdir, *extra):
+        from repro.cli import main
+        return main(["serve", "--households", str(POP["households"]),
+                     "--seed", str(POP["seed"]),
+                     "--mix", "country=uk:1",
+                     "--mix", "diary=second_screen:1",
+                     "--checkpoint-dir", ckdir, "--resume", "--plain",
+                     "--no-cache", *extra])
+
+    def test_code_version_change_refuses_resume(
+            self, cache, population, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CODE_VERSION", "resume-guard-a")
+        self._interrupt(cache, population, str(tmp_path))
+        monkeypatch.setenv("REPRO_CODE_VERSION", "resume-guard-b")
+        with pytest.raises(CheckpointError, match="different fleet"):
+            serve_fleet(population, cache=cache,
+                        checkpoint_dir=str(tmp_path), resume=True)
+        assert self._serve_resume(str(tmp_path)) == 2
+        assert "different fleet" in capsys.readouterr().err
+
+    def test_lossy_site_added_refuses_resume(self, cache, population,
+                                             tmp_path, capsys):
+        self._interrupt(cache, population, str(tmp_path))
+        assert self._serve_resume(
+            str(tmp_path), "--faults", "pcap.corrupt:0.5") == 2
+        assert "different fleet" in capsys.readouterr().err
+
+    def test_lossless_site_added_still_resumes(self, cache, population,
+                                               batch_sha, tmp_path):
+        from repro.faults import FaultPlan
+        self._interrupt(cache, population, str(tmp_path))
+        plan = FaultPlan({"segment.drop": 0.3, "worker.crash": 0.2},
+                         seed=5)
+        resumed = serve_fleet(
+            population, cache=cache,
+            config=ServiceConfig(segments=4, faults=plan),
+            checkpoint_dir=str(tmp_path), resume=True)
+        assert sha(render_population_report(
+            resumed.state, population)) == batch_sha
+
+
 class TestCheckpointGuards:
     """Simulation-free checkpoint validation behaviour."""
 
@@ -320,6 +381,29 @@ class TestCheckpointGuards:
         mixes = {"vendor": {"lg": 2.0, "samsung": 1.0}}
         assert population_key(7, mixes) == population_key(7, dict(mixes))
         assert population_key(7, mixes) != population_key(8, mixes)
+
+    def test_population_key_covers_code_version(self, monkeypatch):
+        mixes = {"vendor": {"lg": 1.0}}
+        monkeypatch.setenv("REPRO_CODE_VERSION", "key-a")
+        before = population_key(7, mixes)
+        monkeypatch.setenv("REPRO_CODE_VERSION", "key-b")
+        assert population_key(7, mixes) != before
+
+    def test_population_key_covers_lossy_sites_only(self):
+        from repro.faults import FaultPlan
+        mixes = {"vendor": {"lg": 1.0}}
+        clean = population_key(7, mixes)
+        lossless = FaultPlan({"segment.drop": 0.5,
+                              "checkpoint.torn": 1.0}, seed=3)
+        assert population_key(7, mixes, lossless) == clean
+        lossy = FaultPlan({"pcap.corrupt": 0.5}, seed=3)
+        assert population_key(7, mixes, lossy) != clean
+        assert population_key(7, mixes, lossy) != population_key(
+            7, mixes, FaultPlan({"pcap.corrupt": 0.4}, seed=3))
+        assert population_key(7, mixes, lossy) != population_key(
+            7, mixes, FaultPlan({"pcap.corrupt": 0.5}, seed=4))
+        assert population_key(7, mixes, lossy) != population_key(
+            7, mixes, FaultPlan({"pcap.truncate": 0.5}, seed=3))
 
     def test_missing_checkpoint_is_a_clean_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
