@@ -9,8 +9,8 @@ PY := PYTHONPATH=src python
 COV_FLOOR := 75
 
 .PHONY: test test-fast bench bench-grid bench-fleet bench-json \
-	coverage docs-check golden-update report resume-smoke \
-	metrics-smoke chaos-smoke findings-smoke perfbench-smoke
+	coverage docs-check golden-update report invariance-smoke \
+	perfbench-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -48,38 +48,12 @@ golden-update:
 docs-check:
 	$(PY) scripts/docs_check.py
 
-# Streaming-service kill/resume smoke: batch fleet, uninterrupted
-# stream, and a SIGTERMed-then-resumed stream must all render the same
-# report (sha256).  CI runs it at 200 households; the knobs exist for a
-# quicker local loop.
-resume-smoke:
-	$(PY) scripts/resume_smoke.py --households $(or $(SMOKE_N),200) \
-		--jobs $(or $(SMOKE_JOBS),8)
-
-# Observability smoke: a small fleet in plain-dashboard mode with a
-# JSONL metrics export, validated against schema v1 by the checker.
-metrics-smoke:
-	$(PY) -m repro.cli fleet --households $(or $(SMOKE_N),16) \
-		--jobs $(or $(SMOKE_JOBS),2) --no-cache --dashboard --plain \
-		--metrics-out metrics.jsonl
-	$(PY) scripts/check_metrics.py metrics.jsonl
-
-# Fault-injection chaos smoke: serve under an aggressive lossless
-# fault plan (drops/dups/reorders/starvation/crashes/torn checkpoints,
-# including a SIGTERM + resume) must render a report byte-identical to
-# the fault-free batch fleet; a lossy (pcap-corruption) plan must
-# complete with a jobs-invariant degradation-evidence section.
-chaos-smoke:
-	$(PY) scripts/chaos_smoke.py --households $(or $(SMOKE_N),96) \
-		--jobs $(or $(SMOKE_JOBS),8)
-
-# Findings-export invariance smoke: fleet --jobs 1 vs --jobs 8 under a
-# lossy fault plan with roku in the mix must write sha256-identical
-# --findings-out JSONL (carrying real DEG and OPTOUT findings), pass
-# the schema checker, and self-diff to zero changes.
-findings-smoke:
-	$(PY) scripts/findings_smoke.py --households $(or $(SMOKE_N),24) \
-		--jobs $(or $(SMOKE_JOBS),8)
+# End-to-end byte-identity smoke, one table row per claim (see the
+# script's docstring): resume (200 households), chaos (96), findings
+# (24) and metrics (16).  Artifacts, metrics.jsonl included, stay
+# under smoke-out/<row>/.
+invariance-smoke:
+	$(PY) scripts/invariance_smoke.py --out-dir smoke-out
 
 # Benchmark correctness smoke: one short pass of every perfbench
 # workload.  Gates only on the exit status (1: a report digest differs

@@ -23,6 +23,7 @@ import sys
 import time
 from typing import List, Optional
 
+from . import jsonl
 from .analysis import AcrDomainAuditor, AuditPipeline
 from .reporting import render_table
 from .testbed import (Country, ExperimentSpec, Phase, Scenario, Vendor,
@@ -94,9 +95,9 @@ def _obs_write(args, registry, **meta) -> None:
     """Export --metrics-out (stable JSONL schema; see docs/cli.md)."""
     if registry is None or not args.metrics_out:
         return
-    from .obs.metrics import write_metrics_jsonl
-    write_metrics_jsonl(args.metrics_out, registry.snapshot(),
-                        {"command": args.command, **meta})
+    from .obs.metrics import snapshot_records
+    jsonl.write(args.metrics_out, snapshot_records(registry.snapshot()),
+                {"command": args.command, **meta})
     print(f"wrote {args.metrics_out}", file=sys.stderr)
 
 
@@ -123,9 +124,8 @@ def _write_findings(args, ledger, **meta) -> None:
     """
     if not getattr(args, "findings_out", None):
         return
-    from .findings import write_findings_jsonl
-    write_findings_jsonl(args.findings_out, ledger,
-                         {"command": args.command, **meta})
+    jsonl.write(args.findings_out, ledger.records(),
+                {"command": args.command, **meta})
     print(f"wrote {args.findings_out}", file=sys.stderr)
 
 
@@ -676,10 +676,10 @@ def _cmd_report(args) -> int:
 
 def _cmd_findings(args) -> int:
     """``findings diff OLD NEW``: exit 0 clean, 1 regression, 2 usage."""
-    from .findings import diff_records, read_findings_jsonl
+    from .findings import diff_records
     try:
-        __, old_records = read_findings_jsonl(args.old)
-        __, new_records = read_findings_jsonl(args.new)
+        __, old_records = jsonl.read(args.old, kinds=("finding",))
+        __, new_records = jsonl.read(args.new, kinds=("finding",))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,13 @@
-"""First-class findings: model, ledger, export, and diff.
+"""First-class findings: model, ledger and diff.
 
 The four emitters in the repository — scorecard checks, vendor
 conformance contracts, fleet/service degradation quarantines, and
 service opt-out violations — all produce the same frozen
 :class:`Finding` value, accumulate through the same associative
 :class:`FindingsLedger`, export through the same schema-v1 JSONL
-(``--findings-out``) and compare through the same ``findings diff``.
+(``--findings-out``, written by :mod:`repro.jsonl` from
+:meth:`FindingsLedger.records`) and compare through the same
+``findings diff``.
 
 :mod:`repro.findings.conformance` (the contract evaluator) is imported
 explicitly by its callers rather than re-exported here: it pulls in the
@@ -14,28 +16,19 @@ fault/fleet layers to import.
 """
 
 from .diff import FindingsDiff, diff_records, record_identity
-from .export import (FINDINGS_SCHEMA_VERSION, ledger_from_file,
-                     ledger_to_jsonl, read_findings_jsonl,
-                     write_findings_jsonl)
-from .ledger import FindingsLedger, merge_all
+from .ledger import FindingsLedger
 from .model import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE, SEVERITIES,
                     Evidence, Finding, severity_rank)
 
 __all__ = [
     "DEGRADATION_CODE",
     "Evidence",
-    "FINDINGS_SCHEMA_VERSION",
     "Finding",
     "FindingsDiff",
     "FindingsLedger",
     "OPTOUT_VIOLATION_CODE",
     "SEVERITIES",
     "diff_records",
-    "ledger_from_file",
-    "ledger_to_jsonl",
-    "merge_all",
-    "read_findings_jsonl",
     "record_identity",
     "severity_rank",
-    "write_findings_jsonl",
 ]

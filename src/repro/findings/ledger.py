@@ -117,6 +117,13 @@ class FindingsLedger:
             records.append(record)
         return records
 
+    def records(self) -> Iterator[Dict[str, object]]:
+        """The ``--findings-out`` records for :mod:`repro.jsonl`:
+        :meth:`to_jsonable` entries tagged ``record: finding``."""
+        for record in self.to_jsonable():
+            record["record"] = "finding"
+            yield record
+
     @classmethod
     def from_jsonable(cls, records: Iterable[Mapping[str, object]]
                       ) -> "FindingsLedger":
@@ -127,11 +134,3 @@ class FindingsLedger:
             payload.pop("record", None)
             ledger.fold(Finding.from_dict(payload), count)
         return ledger
-
-
-def merge_all(ledgers: Iterable[FindingsLedger]) -> FindingsLedger:
-    """Left-fold ``merge`` (``FindingsLedger()`` is the identity)."""
-    merged = FindingsLedger()
-    for ledger in ledgers:
-        merged = merged.merge(ledger)
-    return merged

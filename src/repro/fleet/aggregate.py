@@ -258,14 +258,18 @@ class FleetAggregate:
 
     @classmethod
     def from_dict(cls, state: Mapping[str, object]) -> "FleetAggregate":
-        """Rebuild a snapshot written by :meth:`to_dict`."""
+        """Rebuild a snapshot written by :meth:`to_dict`.
+
+        Every slot must be present: a checkpoint from older code never
+        gets here (its population key carries another code version),
+        so a gap means a damaged or hand-made document — ``ValueError``.
+        """
+        missing = [slot for slot in cls.__slots__ if slot not in state]
+        if missing:
+            raise ValueError(f"aggregate snapshot lacks {missing}")
         aggregate = cls()
         for slot in cls.__slots__:
-            value = state.get(slot)
-            if value is None:
-                # A snapshot written before this slot existed: keep the
-                # (empty/zero) default rather than refusing the resume.
-                continue
+            value = state[slot]
             if isinstance(getattr(aggregate, slot), Counter):
                 counter = getattr(aggregate, slot)
                 for key, count in value.items():

@@ -4,7 +4,8 @@ Two halves, one discipline:
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms/spans whose
   snapshots merge associatively (the ``FleetAggregate`` discipline), a
-  no-op singleton when disabled, and a stable JSONL export.
+  no-op singleton when disabled, and the records of the stable
+  ``--metrics-out`` JSONL export (written by :mod:`repro.jsonl`).
 * :mod:`repro.obs.dashboard` — the live ANSI frame (and its byte-stable
   plain fallback), rendered purely as a *view* over the aggregates and
   metric snapshots the run already maintains.
@@ -16,10 +17,8 @@ analysis stack into every one of them — a cycle waiting to happen.
 """
 
 from .metrics import (METRICS_SCHEMA_VERSION, MetricsRegistry,
-                      NullRegistry, disable, empty_snapshot, enable,
-                      get_registry, merge_all_snapshots, merge_snapshots,
-                      metrics_enabled, scoped, snapshot_to_jsonl,
-                      write_metrics_jsonl)
+                      NullRegistry, disable, enable, get_registry,
+                      metrics_enabled, scoped, snapshot_records)
 
 _DASHBOARD_NAMES = ("Dashboard", "DashboardView", "detect_plain",
                     "render_frame", "render_plain_line")
@@ -29,15 +28,11 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "disable",
-    "empty_snapshot",
     "enable",
     "get_registry",
-    "merge_all_snapshots",
-    "merge_snapshots",
     "metrics_enabled",
     "scoped",
-    "snapshot_to_jsonl",
-    "write_metrics_jsonl",
+    "snapshot_records",
 ] + list(_DASHBOARD_NAMES)
 
 

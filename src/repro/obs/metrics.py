@@ -3,8 +3,8 @@
 Observability here follows the same discipline as
 :class:`~repro.fleet.aggregate.FleetAggregate`: every instrument
 accumulates into plain numbers, a :meth:`MetricsRegistry.snapshot` is a
-plain dict, and snapshots combine through an associative *and*
-commutative :func:`merge_snapshots` —
+plain dict, and :meth:`MetricsRegistry.absorb` merges snapshots
+associatively *and* commutatively —
 
 * **counters** merge by summing,
 * **gauges** merge by ``max`` (the peak discipline: a fleet-wide gauge
@@ -16,7 +16,8 @@ Shard workers therefore collect into a fresh registry and ship the
 snapshot back beside their :class:`FleetAggregate`; the parent absorbs
 shard snapshots in any order and the totals are independent of
 ``--jobs`` (``tests/test_obs.py`` asserts this the same way the fleet
-suite pins aggregate merges).
+suite pins aggregate merges; ``tests/test_properties.py`` checks the
+merge laws).
 
 The module keeps one *active* registry.  By default it is the
 :data:`NULL` no-op singleton: every instrumentation site in the hot
@@ -29,12 +30,12 @@ observability is off that is one attribute lookup plus an empty method
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-#: Bump on any incompatible change to the snapshot / JSONL schema.
+#: Bump on any incompatible change to the snapshot dict (the JSONL
+#: export carries :data:`repro.jsonl.SCHEMA_VERSION`).
 METRICS_SCHEMA_VERSION = 1
 
 #: Default histogram bucket upper bounds, in milliseconds (log-spaced;
@@ -178,7 +179,8 @@ class MetricsRegistry:
 
     def absorb(self, snapshot: Optional[Mapping[str, object]]) -> None:
         """Merge a snapshot (e.g. from a shard worker) into this live
-        registry, under the same rules as :func:`merge_snapshots`."""
+        registry under the rules in the module docstring; ``None`` is a
+        no-op."""
         if not snapshot:
             return
         for name, value in snapshot.get("counters", {}).items():
@@ -205,32 +207,6 @@ class MetricsRegistry:
                 setattr(histogram, attr,
                         incoming if current is None
                         else pick(current, incoming))
-
-
-# -- snapshot algebra ---------------------------------------------------------
-
-
-def empty_snapshot() -> Dict[str, object]:
-    """The merge identity."""
-    return MetricsRegistry().snapshot()
-
-
-def merge_snapshots(left: Mapping[str, object],
-                    right: Mapping[str, object]) -> Dict[str, object]:
-    """Combine two snapshots (associative and commutative)."""
-    registry = MetricsRegistry()
-    registry.absorb(left)
-    registry.absorb(right)
-    return registry.snapshot()
-
-
-def merge_all_snapshots(snapshots: Iterable[Optional[Mapping[str, object]]]
-                        ) -> Dict[str, object]:
-    """Left-fold :func:`merge_snapshots`; ``None`` entries are skipped."""
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.absorb(snapshot)
-    return registry.snapshot()
 
 
 # -- the active registry ------------------------------------------------------
@@ -289,41 +265,13 @@ def scoped(collect: bool = True):
 # -- JSONL export -------------------------------------------------------------
 
 
-def snapshot_to_jsonl(snapshot: Mapping[str, object],
-                      meta: Optional[Mapping[str, object]] = None) -> str:
-    """Render a snapshot as stable-schema JSONL (one record per line).
-
-    Line 1 is a ``meta`` record carrying the schema version plus any
-    caller context (command, population size, ...); then one record per
-    counter, gauge and histogram, sorted by kind then name, so the
-    export is deterministic given the snapshot.
-    ``scripts/check_metrics.py`` validates this schema in CI.
-    """
-    lines: List[str] = []
-    header: Dict[str, object] = {
-        "record": "meta",
-        "schema": snapshot.get("schema", METRICS_SCHEMA_VERSION),
-    }
-    for key, value in (meta or {}).items():
-        header[key] = value
-    lines.append(json.dumps(header, sort_keys=True))
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        lines.append(json.dumps(
-            {"record": "counter", "name": name, "value": value},
-            sort_keys=True))
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        lines.append(json.dumps(
-            {"record": "gauge", "name": name, "value": value},
-            sort_keys=True))
+def snapshot_records(snapshot: Mapping[str, object]
+                     ) -> Iterator[Dict[str, object]]:
+    """A snapshot's ``--metrics-out`` records for :mod:`repro.jsonl`:
+    one per counter, gauge and histogram, sorted by kind then name, so
+    the export is a pure function of the snapshot."""
+    for kind, section in (("counter", "counters"), ("gauge", "gauges")):
+        for name, value in sorted(snapshot.get(section, {}).items()):
+            yield {"record": kind, "name": name, "value": value}
     for name, entry in sorted(snapshot.get("histograms", {}).items()):
-        record = {"record": "histogram", "name": name}
-        record.update(entry)
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-def write_metrics_jsonl(path: str, snapshot: Mapping[str, object],
-                        meta: Optional[Mapping[str, object]] = None) -> None:
-    """Atomically write the JSONL export of one snapshot."""
-    from ..util import atomic_write_text
-    atomic_write_text(path, snapshot_to_jsonl(snapshot, meta))
+        yield {"record": "histogram", "name": name, **entry}

@@ -12,7 +12,8 @@ Durability is layered:
 * every write goes through :func:`repro.util.atomic_write_text`, so a
   kill mid-write leaves the previous file, never a torn one;
 * the document carries a SHA-256 ``digest`` of its own canonical JSON,
-  so silent on-disk corruption is *detected*, not resumed from;
+  so silent on-disk corruption is *detected*, not resumed from (a
+  document without a digest is rejected the same way);
 * each snapshot is written twice — a rotated
   ``service-checkpoint-<seq>.json`` first, then the canonical
   ``service-checkpoint.json`` — and the newest
@@ -209,7 +210,9 @@ def _parse_snapshot(path: str) -> Tuple[Optional[dict], Optional[str]]:
     if version != CHECKPOINT_VERSION:
         return None, f"version {version!r} != {CHECKPOINT_VERSION}"
     digest = document.get("digest")
-    if digest is not None and digest != _document_digest(document):
+    if digest is None:
+        return None, "no digest (unverifiable payload)"
+    if digest != _document_digest(document):
         return None, "digest mismatch (corrupt payload)"
     return document, None
 
@@ -237,10 +240,9 @@ def load_checkpoint(directory: str,
             if reason != "missing":
                 failures.append(f"{os.path.basename(path)}: {reason}")
             continue
-        payload_id = document.get("digest") or id(document)
-        if payload_id in seen_payloads:
+        if document["digest"] in seen_payloads:
             continue
-        seen_payloads.add(payload_id)
+        seen_payloads.add(document["digest"])
         if expect_key is not None and document["population"] != expect_key:
             raise CheckpointError(
                 "checkpoint belongs to a different fleet (seed, mix, "
@@ -252,8 +254,13 @@ def load_checkpoint(directory: str,
         cursors: Dict[int, int] = {int(index): int(ingested)
                                    for index, ingested
                                    in document["cursors"].items()}
+        try:
+            aggregate = FleetAggregate.from_dict(document["aggregate"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{os.path.basename(path)}: malformed aggregate: {exc}")
         return Checkpoint(
-            aggregate=FleetAggregate.from_dict(document["aggregate"]),
+            aggregate=aggregate,
             completed=[int(index) for index in document["completed"]],
             cursors=cursors,
             population_key=document["population"],

@@ -40,16 +40,6 @@ class LiveState:
         self.aggregate.fold(summary)
         self.completed.add(household_index)
 
-    def merge_aggregate(self, other: FleetAggregate,
-                        completed: Iterable[int] = ()) -> None:
-        """Absorb a shard-level aggregate (e.g. a restored checkpoint)."""
-        overlap = self.completed.intersection(completed)
-        if overlap:
-            raise ValueError(
-                f"households folded twice: {sorted(overlap)[:5]}...")
-        self.aggregate = self.aggregate.merge(other)
-        self.completed.update(completed)
-
     # -- queries ----------------------------------------------------------------
 
     @property

@@ -10,8 +10,8 @@ from repro.experiments.grid import GridRunner
 from repro.fleet import FleetRunner, PopulationSpec
 from repro.service import serve_fleet
 from repro.service.daemon import _CaptureSource
-from repro.findings import (Evidence, Finding, FindingsLedger,
-                            write_findings_jsonl)
+from repro import jsonl
+from repro.findings import Evidence, Finding, FindingsLedger
 
 
 class TestParser:
@@ -116,7 +116,7 @@ class TestScorecardExitCodes:
 
 class TestFindingsDiffCommand:
     def _export(self, path, findings):
-        write_findings_jsonl(str(path), FindingsLedger(findings))
+        jsonl.write(str(path), FindingsLedger(findings).records())
         return str(path)
 
     def test_regression_exits_1(self, tmp_path, capsys):

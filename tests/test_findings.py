@@ -1,10 +1,9 @@
 """Tests for the first-class findings layer: model, ledger, export,
 diff.
 
-The ledger suite mirrors ``tests/test_obs.py``'s snapshot discipline:
-ledgers must combine associatively and commutatively with
-``FindingsLedger()`` as the identity, which is what makes a
-``--findings-out`` export byte-identical across ``--jobs`` counts.
+The ledger's merge laws (associative, commutative, ``FindingsLedger()``
+as the identity — what makes a ``--findings-out`` export byte-identical
+across ``--jobs`` counts) live in ``tests/test_properties.py``.
 """
 
 import json
@@ -19,17 +18,15 @@ from hypothesis import strategies as st
 from repro.experiments.findings import (FindingCheck, ledger_from_checks,
                                         render_checks, scorecard)
 from repro.faults import degradation_evidence
-from repro.findings import (DEGRADATION_CODE, FINDINGS_SCHEMA_VERSION,
-                            OPTOUT_VIOLATION_CODE, SEVERITIES, Evidence,
-                            Finding, FindingsLedger, diff_records,
-                            ledger_from_file, ledger_to_jsonl, merge_all,
-                            read_findings_jsonl, record_identity,
-                            severity_rank, write_findings_jsonl)
+from repro import jsonl
+from repro.findings import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE,
+                            SEVERITIES, Evidence, Finding, FindingsLedger,
+                            diff_records, record_identity, severity_rank)
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "scripts"))
-from check_findings import check_lines  # noqa: E402
+from check_jsonl import check_lines  # noqa: E402
 
 
 def _finding(code="S1", severity="medium", passed=True, text="ok",
@@ -179,14 +176,6 @@ class TestLedger:
         ledger = FindingsLedger([low, other, high])
         assert ledger.findings() == [other, high, low]
 
-    @settings(max_examples=50, deadline=None)
-    @given(a=_LEDGER_POOL, b=_LEDGER_POOL, c=_LEDGER_POOL)
-    def test_merge_is_associative_and_commutative(self, a, b, c):
-        assert a.merge(b) == b.merge(a)
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-        assert a.merge(FindingsLedger()) == a
-        assert merge_all([a, b, c]) == (a + b) + c
-
     def test_merge_leaves_operands_untouched(self):
         a = FindingsLedger([_finding(code="A")])
         b = FindingsLedger([_finding(code="B")])
@@ -230,11 +219,11 @@ class TestExport:
         ])
 
     def test_meta_first_then_sorted_findings(self):
-        body = ledger_to_jsonl(self._ledger(), {"command": "fleet"})
+        body = jsonl.dumps(self._ledger().records(), {"command": "fleet"})
         lines = body.splitlines()
         meta = json.loads(lines[0])
         assert meta == {"record": "meta",
-                        "schema": FINDINGS_SCHEMA_VERSION,
+                        "schema": jsonl.SCHEMA_VERSION,
                         "command": "fleet"}
         codes = [json.loads(line)["code"] for line in lines[1:]]
         assert codes == sorted(codes) == ["DEG", "S1"]
@@ -242,16 +231,16 @@ class TestExport:
         assert body.endswith("\n")
 
     def test_export_passes_the_schema_checker(self):
-        body = ledger_to_jsonl(self._ledger(), {"seed": 7})
+        body = jsonl.dumps(self._ledger().records(), {"seed": 7})
         assert check_lines(body.splitlines()) == 2
 
     def test_checker_rejects_jobs_in_meta(self):
-        body = ledger_to_jsonl(self._ledger(), {"jobs": 8})
+        body = jsonl.dumps(self._ledger().records(), {"jobs": 8})
         with pytest.raises(ValueError, match="jobs-invariant"):
             check_lines(body.splitlines())
 
     def test_checker_rejects_out_of_order_records(self):
-        lines = ledger_to_jsonl(self._ledger()).splitlines()
+        lines = jsonl.dumps(self._ledger().records()).splitlines()
         lines[1], lines[2] = lines[2], lines[1]
         with pytest.raises(ValueError, match="canonical order"):
             check_lines(lines)
@@ -259,31 +248,31 @@ class TestExport:
     def test_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "findings.jsonl")
         ledger = self._ledger()
-        write_findings_jsonl(path, ledger, {"command": "fleet",
-                                            "seed": 7})
-        meta, records = read_findings_jsonl(path)
+        jsonl.write(path, ledger.records(), {"command": "fleet",
+                                             "seed": 7})
+        meta, records = jsonl.read(path, kinds=("finding",))
         assert meta["command"] == "fleet" and meta["seed"] == 7
         assert len(records) == 2
-        assert ledger_from_file(path) == ledger
+        assert FindingsLedger.from_jsonable(records) == ledger
 
     def test_reader_rejects_malformed_files(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w", encoding="utf-8") as fileobj:
             fileobj.write("")
         with pytest.raises(ValueError, match="line 1: empty file"):
-            read_findings_jsonl(path)
+            jsonl.read(path, kinds=("finding",))
         with open(path, "w", encoding="utf-8") as fileobj:
             fileobj.write('{"record": "finding"}\n')
         with pytest.raises(ValueError, match="must be 'meta'"):
-            read_findings_jsonl(path)
+            jsonl.read(path, kinds=("finding",))
         with open(path, "w", encoding="utf-8") as fileobj:
             fileobj.write('{"record": "meta", "schema": 99}\n')
         with pytest.raises(ValueError, match="unsupported schema"):
-            read_findings_jsonl(path)
+            jsonl.read(path, kinds=("finding",))
         with open(path, "w", encoding="utf-8") as fileobj:
             fileobj.write('{"record": "meta", "schema": 1}\nnot json\n')
         with pytest.raises(ValueError, match="line 2: not JSON"):
-            read_findings_jsonl(path)
+            jsonl.read(path, kinds=("finding",))
 
 
 # -- the diff -----------------------------------------------------------------

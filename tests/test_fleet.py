@@ -17,7 +17,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.grid import ResultCache
 from repro.findings import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE,
-                            Finding, FindingsLedger)
+                            Finding)
 from repro.fleet import (DIARIES, FleetAggregate, FleetRunner,
                          HouseholdSpec, MixError, PopulationSpec,
                          diary_named, merge_all, parse_mix,
@@ -362,12 +362,11 @@ class TestAggregate:
         assert restored.findings == aggregate.findings
         assert restored.degradations == aggregate.degradations
 
-    def test_old_checkpoint_without_findings_resumes_empty(self):
+    def test_snapshot_missing_a_slot_is_refused(self):
         state = folded(SUMMARIES).to_dict()
         del state["findings"]
-        restored = FleetAggregate.from_dict(state)
-        assert restored.findings == FindingsLedger()
-        assert restored.households == 4
+        with pytest.raises(ValueError, match="lacks.*findings"):
+            FleetAggregate.from_dict(state)
 
 
 @pytest.mark.slow

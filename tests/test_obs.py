@@ -1,10 +1,10 @@
 """Tests for the observability layer: metrics registry, snapshot
 algebra, the ANSI dashboard, and the JSONL export surface.
 
-The merge suite mirrors ``tests/test_fleet.py``'s FleetAggregate
-discipline: snapshots must combine associatively and commutatively with
-``empty_snapshot()`` as the identity, which is what makes the exported
-totals independent of ``--jobs``.
+Snapshots merge through ``MetricsRegistry.absorb``, associatively and
+commutatively with an empty snapshot as the identity, which is what
+makes the exported totals independent of ``--jobs``.  The same laws
+over random inputs live in ``tests/test_properties.py``.
 """
 
 import io
@@ -17,16 +17,15 @@ import pytest
 from repro.fleet import FleetAggregate, FleetRunner, PopulationSpec
 from repro.obs import (Dashboard, DashboardView, detect_plain,
                        render_frame, render_plain_line)
+from repro import jsonl
 from repro.obs.metrics import (DEFAULT_BUCKETS_MS, NULL, MetricsRegistry,
-                               disable, empty_snapshot, enable,
-                               get_registry, merge_all_snapshots,
-                               merge_snapshots, metrics_enabled, scoped,
-                               snapshot_to_jsonl, write_metrics_jsonl)
+                               disable, enable, get_registry,
+                               metrics_enabled, scoped, snapshot_records)
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "scripts"))
-from check_metrics import check_lines  # noqa: E402
+from check_jsonl import check_lines  # noqa: E402
 
 
 def _summary(vendor, country, acr):
@@ -128,23 +127,32 @@ class TestSnapshotAlgebra:
         c.inc("n")
         return a.snapshot(), b.snapshot(), c.snapshot()
 
+    @staticmethod
+    def _merged(*snapshots):
+        """Snapshots merge through ``MetricsRegistry.absorb``."""
+        registry = MetricsRegistry()
+        for snapshot in snapshots:
+            registry.absorb(snapshot)
+        return registry.snapshot()
+
     def test_merge_is_commutative(self):
         a, b, __ = self._snapshots()
-        assert merge_snapshots(a, b) == merge_snapshots(b, a)
+        assert self._merged(a, b) == self._merged(b, a)
 
     def test_merge_is_associative(self):
         a, b, c = self._snapshots()
-        assert merge_snapshots(merge_snapshots(a, b), c) \
-            == merge_snapshots(a, merge_snapshots(b, c))
+        assert self._merged(self._merged(a, b), c) \
+            == self._merged(a, self._merged(b, c))
 
     def test_empty_snapshot_is_identity(self):
         a, __, __ = self._snapshots()
-        assert merge_snapshots(a, empty_snapshot()) == a
-        assert merge_snapshots(empty_snapshot(), a) == a
+        empty = MetricsRegistry().snapshot()
+        assert self._merged(a, empty) == a
+        assert self._merged(empty, a) == a
 
     def test_merge_rules(self):
         a, b, __ = self._snapshots()
-        merged = merge_snapshots(a, b)
+        merged = self._merged(a, b)
         assert merged["counters"] == {"n": 5, "other": 1}
         assert merged["gauges"] == {"peak": 9}
         entry = merged["histograms"]["h"]
@@ -152,11 +160,6 @@ class TestSnapshotAlgebra:
         assert entry["sum"] == pytest.approx(91.5)
         assert entry["min"] == 1.5 and entry["max"] == 90.0
         assert sum(entry["counts"]) == 2
-
-    def test_merge_all_skips_none(self):
-        a, b, __ = self._snapshots()
-        assert merge_all_snapshots([None, a, None, b]) \
-            == merge_snapshots(a, b)
 
     def test_mismatched_bucket_bounds_refused(self):
         registry = MetricsRegistry()
@@ -405,7 +408,8 @@ class TestJsonlExport:
         return registry.snapshot()
 
     def test_meta_first_then_sorted_records(self):
-        text = snapshot_to_jsonl(self._snapshot(), {"command": "fleet"})
+        text = jsonl.dumps(snapshot_records(self._snapshot()),
+                           {"command": "fleet"})
         records = [json.loads(line) for line in text.splitlines()]
         assert records[0]["record"] == "meta"
         assert records[0]["schema"] == 1
@@ -417,18 +421,19 @@ class TestJsonlExport:
         assert names == sorted(names)
 
     def test_export_is_deterministic(self):
-        assert snapshot_to_jsonl(self._snapshot()) \
-            == snapshot_to_jsonl(self._snapshot())
+        assert jsonl.dumps(snapshot_records(self._snapshot())) \
+            == jsonl.dumps(snapshot_records(self._snapshot()))
 
     def test_checker_accepts_real_export(self, tmp_path):
         path = str(tmp_path / "metrics.jsonl")
-        write_metrics_jsonl(path, self._snapshot(), {"command": "test"})
+        jsonl.write(path, snapshot_records(self._snapshot()),
+                    {"command": "test"})
         with open(path, encoding="utf-8") as fileobj:
             assert check_lines(fileobj.read().splitlines()) == 5
 
     def test_checker_rejects_tampering(self, tmp_path):
         path = str(tmp_path / "metrics.jsonl")
-        write_metrics_jsonl(path, self._snapshot())
+        jsonl.write(path, snapshot_records(self._snapshot()))
         with open(path, encoding="utf-8") as fileobj:
             lines = fileobj.read().splitlines()
         bad = [line.replace('"value": 6', '"value": -6')

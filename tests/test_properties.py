@@ -2,8 +2,11 @@
 
 These complement the per-module property tests: they exercise whole
 sub-stacks (codec compositions, flow accounting, batch codec, timelines)
-under hypothesis-generated inputs.
+and the merge laws of every mergeable result under hypothesis-generated
+inputs.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.acr import Capture, FingerprintBatch, bands_of, hamming_distance
 from repro.analysis import Timeline, cumulative_bytes, packets_per_ms
+from repro.findings import Evidence, Finding, FindingsLedger
+from repro.fleet import FleetAggregate
 from repro.net import (CapturedPacket, FlowTable, Ipv4Address, MacAddress,
                        TcpSegment, decode_all, decode_packet, dump_bytes,
                        load_bytes)
@@ -21,6 +26,7 @@ from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from repro.net.packet import LazyPacket
 from repro.net.tcp import FLAG_ACK
 from repro.net.udp import UdpDatagram
+from repro.obs.metrics import MetricsRegistry
 
 MAC_A = MacAddress.parse("02:00:00:00:00:01")
 MAC_B = MacAddress.parse("02:00:00:00:00:02")
@@ -297,3 +303,107 @@ class TestAnalysisProperties:
         assert (diffs >= 0).all()
         fractions = curve.fraction_curve()
         assert fractions[-1] == pytest.approx(1.0)
+
+
+
+# -- merge laws of the three mergeable results --------------------------------
+
+
+def _summary(vendor, opted_in, acr_bytes, degraded):
+    """A household summary as ``FleetAggregate.fold`` consumes it."""
+    return {
+        "vendor": vendor, "country": "uk", "phase": "LIn-OIn",
+        "diary": "binge", "opted_in": opted_in, "packets": 10,
+        "pcap_len": 800, "acr_bytes": acr_bytes,
+        "acr_domains": ["eu-acr4.alphonso.tv"] if acr_bytes else [],
+        "acr_upload_bytes": acr_bytes // 2,
+        "acr_packets": 2 if acr_bytes else 0,
+        "acr_bursts": 1 if acr_bytes else 0,
+        "cadence_sum_ns": 0, "cadence_intervals": 0,
+        "label": "hh", "index": 0,
+        "findings": [Finding.degradation("hh", 0, None, 3, "torn")]
+        if degraded else [],
+    }
+
+
+def _folded(summaries):
+    aggregate = FleetAggregate()
+    for summary in summaries:
+        aggregate.fold(summary)
+    return aggregate
+
+
+def _finding(code, severity, passed, household):
+    return Finding(code=code, title=f"check {code}", severity=severity,
+                   confidence=0.9, passed=passed,
+                   evidence=(Evidence(text="seen", household=household),))
+
+
+def _snapshot(counters, gauges, observations):
+    registry = MetricsRegistry()
+    for name, amount in counters:
+        registry.inc(name, amount)
+    for name, value in gauges:
+        registry.gauge_max(name, value)
+    for name, value in observations:
+        registry.observe(name, float(value))
+    return registry.snapshot()
+
+
+def _absorbed(*snapshots):
+    """Metrics snapshots merge through ``MetricsRegistry.absorb``."""
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.absorb(snapshot)
+    return registry.snapshot()
+
+
+_metric_names = st.sampled_from(["a", "b"])
+
+#: name -> (values, merge, identity, serialize, deserialize).  Histogram
+#: observations are small integers so float sums are exact under any
+#: grouping.
+MERGEABLES = {
+    "aggregate": (
+        st.lists(st.builds(_summary, st.sampled_from(["lg", "samsung"]),
+                           st.booleans(),
+                           st.sampled_from([0, 500, 1500]),
+                           st.booleans()),
+                 max_size=4).map(_folded),
+        FleetAggregate.merge, FleetAggregate(), FleetAggregate.to_dict,
+        FleetAggregate.from_dict),
+    "ledger": (
+        st.lists(st.builds(_finding, st.sampled_from(["S1", "DEG"]),
+                           st.sampled_from(["low", "critical"]),
+                           st.booleans(), st.sampled_from([None, 0, 1])),
+                 max_size=6).map(FindingsLedger),
+        FindingsLedger.merge, FindingsLedger(),
+        FindingsLedger.to_jsonable, FindingsLedger.from_jsonable),
+    "metrics": (
+        st.builds(_snapshot,
+                  st.lists(st.tuples(_metric_names, st.integers(0, 5)),
+                           max_size=3),
+                  st.lists(st.tuples(_metric_names, st.integers(0, 9)),
+                           max_size=3),
+                  st.lists(st.tuples(_metric_names,
+                                     st.integers(0, 60000)),
+                           max_size=3)),
+        _absorbed, _absorbed(), dict, _absorbed),
+}
+
+
+class TestMergeLaws:
+    """Shard results combine in any order, and checkpoints and exports
+    restore them exactly: the basis of every jobs-invariance and resume
+    claim."""
+
+    @pytest.mark.parametrize("kind", sorted(MERGEABLES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_merge_laws(self, kind, data):
+        values, merge, identity, dump, load = MERGEABLES[kind]
+        a, b, c = (data.draw(values) for __ in range(3))
+        assert merge(a, identity) == a == merge(identity, a)
+        assert merge(a, b) == merge(b, a)
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
+        assert load(json.loads(json.dumps(dump(a)))) == a

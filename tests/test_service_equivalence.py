@@ -294,6 +294,53 @@ class TestCheckpointDurability:
             assert sha(render_population_report(
                 resumed.state, population)) == batch_sha
 
+    @staticmethod
+    def _rewrite(path, edit):
+        import json
+        with open(path, encoding="utf-8") as fileobj:
+            document = json.load(fileobj)
+        edit(document)
+        with open(path, "w", encoding="utf-8") as fileobj:
+            json.dump(document, fileobj)
+
+    def test_snapshot_without_digest_falls_back(self, tmp_path):
+        from repro.service.checkpoint import checkpoint_path, rotated_path
+        ckdir = str(tmp_path)
+        key = population_key(1, {"vendor": {"lg": 1.0}})
+        write_checkpoint(ckdir, LiveState(), {}, key, 5)
+        write_checkpoint(ckdir, LiveState(), {}, key, 6)
+
+        def strip(document):
+            del document["digest"]
+            document["households"] = 999
+
+        # An undigested snapshot is unverifiable, so it is skipped like
+        # a corrupt one: load falls back to the older rotated snapshot.
+        for path in (checkpoint_path(ckdir), rotated_path(ckdir, 1)):
+            self._rewrite(path, strip)
+        assert load_checkpoint(ckdir).households == 5
+        self._rewrite(rotated_path(ckdir, 0), strip)
+        with pytest.raises(CheckpointError, match="no digest"):
+            load_checkpoint(ckdir)
+
+    def test_verified_snapshot_missing_a_slot_is_refused(self, tmp_path):
+        from repro.service.checkpoint import (_document_digest,
+                                              checkpoint_path,
+                                              rotated_path)
+        ckdir = str(tmp_path)
+        key = population_key(1, {"vendor": {"lg": 1.0}})
+        write_checkpoint(ckdir, LiveState(), {}, key, 5)
+
+        def drop_findings(document):
+            del document["aggregate"]["findings"]
+            document["digest"] = _document_digest(document)
+
+        for path in (checkpoint_path(ckdir), rotated_path(ckdir, 0)):
+            self._rewrite(path, drop_findings)
+        with pytest.raises(CheckpointError,
+                           match="malformed aggregate.*findings"):
+            load_checkpoint(ckdir)
+
     def test_rotated_snapshots_stay_bounded(self, cache, population):
         from repro.service.checkpoint import (CHECKPOINT_KEEP,
                                               rotated_sequences)
