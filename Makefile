@@ -8,9 +8,8 @@ PY := PYTHONPATH=src python
 # routine refactors do not.
 COV_FLOOR := 75
 
-.PHONY: test test-fast bench bench-grid bench-fleet bench-json \
-	coverage docs-check golden-update report invariance-smoke \
-	perfbench-smoke
+.PHONY: test test-fast bench bench-grid bench-fleet coverage \
+	docs-check golden-update report invariance-smoke perfbench-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -28,11 +27,6 @@ bench-grid:
 
 bench-fleet:
 	$(PY) -m pytest benchmarks/bench_fleet.py -q
-
-# Codec hot-path trajectory: microbenches + a reduced-grid end-to-end
-# cell, written to BENCH_5.json so future PRs can regress-check.
-bench-json:
-	$(PY) scripts/bench_report.py --out BENCH_5.json
 
 # Full suite under coverage with the floor enforced (requires
 # pytest-cov, which CI installs; locally: pip install pytest-cov).

@@ -15,9 +15,9 @@ path, so its perf trajectory is pinned hard:
   is ~2.1x; the remaining per-segment cost is the payload word sum,
   which both paths must pay).
 
-The same measurements feed ``scripts/bench_report.py`` (``make
-bench-json``), which is how future PRs regression-check against the
-committed ``BENCH_<n>.json`` trajectory.
+Run with ``make bench``.  End-to-end numbers (cold fleet, cached
+replay, streaming serve) come from ``perfbench/run.py``; the committed
+``BENCH_5.json`` records these ratios as they stood when it was taken.
 """
 
 import io

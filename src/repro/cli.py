@@ -485,20 +485,17 @@ def _cmd_fleet(args) -> int:
                               unit="households", plain=args.plain,
                               registry=registry)
 
-    def progress(done, total, executed, cached):
-        print(f"  shard {done}/{total} "
-              f"({executed} executed, {cached} cached)",
-              file=sys.stderr)
-
-    def observer(done, total, executed, cached, aggregate):
-        dashboard.update(aggregate.households, executed=executed,
-                         cached=cached, aggregate=aggregate)
+    def progress(done, total, executed, cached, aggregate):
+        if dashboard is not None:
+            dashboard.update(aggregate.households, executed=executed,
+                             cached=cached, aggregate=aggregate)
+        else:
+            print(f"  shard {done}/{total} "
+                  f"({executed} executed, {cached} cached)",
+                  file=sys.stderr)
 
     try:
-        result = runner.run(
-            population,
-            progress=None if dashboard is not None else progress,
-            observer=observer if dashboard is not None else None)
+        result = runner.run(population, progress=progress)
         if dashboard is not None:
             dashboard.finish(note=f"done in {result.elapsed_s:.1f}s")
         _obs_write(args, registry, households=args.households,
@@ -573,7 +570,11 @@ def _cmd_serve(args) -> int:
     previous = [signal.signal(signal.SIGTERM, _request_stop),
                 signal.signal(signal.SIGINT, _request_stop)]
 
-    def progress(done, total, executed, cached):
+    def progress(done, total, executed, cached, state):
+        if dashboard is not None:
+            dashboard.update(done, executed=executed, cached=cached,
+                             aggregate=state)
+            return
         line = (f"  {done}/{total} households folded "
                 f"({executed} executed, {cached} cached)")
         if args.plain:
@@ -581,17 +582,11 @@ def _cmd_serve(args) -> int:
         else:
             print(f"\r{line}", end="", file=sys.stderr, flush=True)
 
-    def observer(done, total, executed, cached, state):
-        dashboard.update(done, executed=executed, cached=cached,
-                         aggregate=state)
-
     try:
         result = service_mod.serve_fleet(
             population, cache=cache, config=config, jobs=args.jobs,
             checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            progress=None if dashboard is not None else progress,
-            observer=observer if dashboard is not None else None,
-            stop_check=lambda: stop["requested"])
+            progress=progress, stop_check=lambda: stop["requested"])
         if dashboard is not None:
             dashboard.finish(note=f"done in {result.elapsed_s:.1f}s")
         _obs_write(args, registry, households=args.households,

@@ -6,8 +6,8 @@ grid as a first-class object instead of one cell at a time:
 
 * :func:`enumerate_cells` expands the matrix, optionally restricted by
   ``axis=value[,value...]`` filters (the CLI's ``--filter``).
-* :class:`GridRunner` executes cells — serially or on a
-  :class:`concurrent.futures.ProcessPoolExecutor` — and memoizes each
+* :class:`GridRunner` executes cells — serially or on worker
+  processes via :func:`repro.workers.run_tasks` — and memoizes each
   finished cell in a :class:`ResultCache`.
 * :class:`ResultCache` is a content-addressed on-disk store keyed by
   ``(spec, seed, code-version)``: captures survive across processes and
@@ -22,10 +22,9 @@ byte-identical to a serial one — ``tests/test_grid.py`` asserts it.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import zlib
@@ -35,13 +34,14 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 from ..analysis.pipeline import AuditPipeline
 from ..faults import NULL_PLAN, FaultPlan, produce_with_retries
 from ..net.addresses import Ipv4Address
-from ..obs.metrics import get_registry, metrics_enabled, scoped
+from ..obs.metrics import get_registry
 from ..testbed.campaign import CampaignRunner, cell_key
 from ..util import atomic_write_bytes, check_jobs
 from ..testbed.experiment import (Country, DEFAULT_DURATION_NS,
                                   ExperimentSpec, Phase, Scenario, Vendor)
 from ..testbed.runner import run_experiment
 from ..testbed.validation import validate
+from ..workers import run_tasks
 
 DEFAULT_SEED = 7
 
@@ -352,70 +352,47 @@ def default_cache() -> Optional[ResultCache]:
 # -- execution ----------------------------------------------------------------
 
 
-def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
-    """Process-pool worker: run one cell, return (meta, compressed pcap,
-    metrics snapshot).
+def _execute_cell(seed: int, validate_results: bool, faults: FaultPlan,
+                  spec: ExperimentSpec) -> CellRecord:
+    """Grid task (see :func:`repro.workers.run_tasks`): run one cell.
 
-    Takes and returns only primitives so it pickles cleanly; the heavy
-    ground-truth handles (backend, registry, zone) stay in the worker.
-    The snapshot (``None`` unless the parent had metrics enabled) is
-    collected in a worker-local registry so the parent can absorb it
-    without double counting.
+    The record carries only the compressed capture, which the cache
+    stores verbatim and consumers decompress lazily; the heavy
+    ground-truth handles (backend, registry, zone) never leave the
+    worker.
     """
-    (vendor, country, scenario, phase, duration_ns, seed,
-     validate_results, collect_metrics, plan_tuple) = payload
-    spec = ExperimentSpec(Vendor(vendor), Country(country),
-                          Scenario(scenario), Phase(phase), duration_ns)
-    faults = FaultPlan.from_tuple(plan_tuple)
-    with scoped(collect_metrics) as registry:
-        started = time.perf_counter()
+    started = time.perf_counter()
 
-        def simulate():
-            with get_registry().span("grid.simulate"):
-                return run_experiment(spec, seed=seed)
+    def simulate():
+        with get_registry().span("grid.simulate"):
+            return run_experiment(spec, seed=seed)
 
-        # Injected worker crashes/hangs are keyed by the cell label, so
-        # the retry counters are identical at any job count.
-        result, __ = produce_with_retries(faults, (spec.label,),
-                                          simulate)
-        if validate_results:
-            report = validate(result)
-            if not report.ok:
-                raise RuntimeError(f"experiment {spec.label} failed "
-                                   f"validation: {report.failures}")
-        get_registry().inc("grid.cells.executed")
-        record = record_from_result(
-            result, elapsed_s=time.perf_counter() - started)
-        snapshot = registry.snapshot() if registry is not None else None
-    return record.meta(), zlib.compress(result.pcap_bytes, 1), snapshot
+    # Injected worker crashes/hangs are keyed by the cell label, so the
+    # retry counters are identical at any job count.
+    result, __ = produce_with_retries(faults, (spec.label,), simulate)
+    if validate_results:
+        report = validate(result)
+        if not report.ok:
+            raise RuntimeError(f"experiment {spec.label} failed "
+                               f"validation: {report.failures}")
+    get_registry().inc("grid.cells.executed")
+    meta = record_from_result(
+        result, elapsed_s=time.perf_counter() - started).meta()
+    return CellRecord(pcap_z=zlib.compress(result.pcap_bytes, 1), **meta)
 
 
-def _payload(spec: ExperimentSpec, seed: int, validate_results: bool,
-             faults: FaultPlan = NULL_PLAN) -> Tuple:
-    return (spec.vendor.value, spec.country.value, spec.scenario.value,
-            spec.phase.value, spec.duration_ns, seed, validate_results,
-            metrics_enabled(), faults.as_tuple())
-
-
-def warm_assets(specs: Sequence[ExperimentSpec] = (),
-                countries: Iterable[str] = ()) -> None:
+def warm_assets(countries: Iterable[str] = ()) -> None:
     """Pre-build the shared per-country assets in this process.
 
     Building a reference fingerprint database and the matcher's band
     index over it takes far longer than simulating a cell, but both are
     memoized per country: the index is built once per country here, not
-    once per backend.  Pool workers are forked from the parent (Linux
-    default), so warming before the fork lets every worker inherit the
-    library and its index copy-on-write instead of each rebuilding them
-    from scratch.
-
-    Callers name the countries either through ``specs`` (grid cells) or
-    directly via ``countries`` (the fleet runner, which has households
-    rather than specs).
+    once per backend.  :func:`repro.workers.run_tasks` calls this before
+    forking its pool, so every worker inherits the library and its
+    index copy-on-write instead of each rebuilding them from scratch.
     """
     from ..testbed import assets
-    for country in sorted({spec.country.value for spec in specs}
-                          | set(countries)):
+    for country in sorted(set(countries)):
         assets.media_library(country, 0)
         assets.reference_library(country, 0)
         assets.reference_matcher(country, 0)
@@ -440,60 +417,27 @@ class GridRunner:
     def run(self, specs: Sequence[ExperimentSpec],
             progress: Optional[ProgressFn] = None) -> List[CellRecord]:
         """Run every cell (cache hits are recalled, misses executed)."""
-        records: Dict[int, CellRecord] = {}
-        missing: List[Tuple[int, ExperimentSpec]] = []
-        for index, spec in enumerate(specs):
-            cached = self.cache.load(spec, self.seed) if self.cache \
-                else None
-            if cached is not None:
-                records[index] = cached
-                if progress:
-                    progress(spec, cached)
-            else:
-                missing.append((index, spec))
-        if missing:
-            for index, spec, record in self._execute(missing):
-                if self.cache:
-                    self.cache.store(record)
-                records[index] = record
-                if progress:
+        records: List[Optional[CellRecord]] = [
+            self.cache.load(spec, self.seed) if self.cache else None
+            for spec in specs]
+        if progress:
+            for spec, record in zip(specs, records):
+                if record is not None:
                     progress(spec, record)
-        return [records[index] for index in range(len(specs))]
-
-    def _execute(self, missing: List[Tuple[int, ExperimentSpec]]):
-        if self.jobs == 1 or len(missing) == 1:
-            for index, spec in missing:
-                meta, compressed, snapshot = _execute_cell(
-                    _payload(spec, self.seed, self.validate_results,
-                             self.faults))
-                get_registry().absorb(snapshot)
-                yield index, spec, self._record(meta, compressed)
-            return
-        workers = min(self.jobs, len(missing))
-        if multiprocessing.get_start_method() == "fork":
-            # Workers inherit warm assets copy-on-write; under spawn
-            # they re-import from scratch, so parent warming would be
-            # pure waste.
-            warm_assets([spec for __, spec in missing])
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            futures = {
-                pool.submit(_execute_cell, _payload(
-                    spec, self.seed, self.validate_results,
-                    self.faults)):
-                (index, spec)
-                for index, spec in missing}
-            for future in concurrent.futures.as_completed(futures):
-                index, spec = futures[future]
-                meta, compressed, snapshot = future.result()
-                get_registry().absorb(snapshot)
-                yield index, spec, self._record(meta, compressed)
-
-    @staticmethod
-    def _record(meta: Dict, compressed: bytes) -> CellRecord:
-        # Keep the worker's compressed payload: the cache stores it
-        # verbatim, and consumers decompress lazily only when they
-        # actually read the capture.
-        return CellRecord(pcap_z=compressed, **meta)
+        slots = [index for index, record in enumerate(records)
+                 if record is None]
+        missing = [specs[index] for index in slots]
+        task = functools.partial(_execute_cell, self.seed,
+                                 self.validate_results, self.faults)
+        for index, record in run_tasks(
+                task, missing, self.jobs,
+                {spec.country.value for spec in missing}):
+            if self.cache:
+                self.cache.store(record)
+            records[slots[index]] = record
+            if progress:
+                progress(missing[index], record)
+        return records
 
 
 # -- the consumer API ---------------------------------------------------------

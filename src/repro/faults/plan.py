@@ -32,7 +32,7 @@ any bounded-retry loop is guaranteed clean and recovery is total.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 #: Attempts after which a bounded site stops injecting.  Every
 #: retry-with-backoff loop in the stack retries at least this many
@@ -123,15 +123,6 @@ class FaultPlan:
                 raise FaultSpecError(f"duplicate fault site {site!r}")
             rates[site] = rate
         return cls(rates, seed=seed)
-
-    def as_tuple(self) -> Tuple:
-        """Primitive form for process-pool payloads."""
-        return (tuple(sorted(self.rates.items())), self.seed)
-
-    @classmethod
-    def from_tuple(cls, values: Tuple) -> "FaultPlan":
-        rates, seed = values
-        return cls(dict(rates), seed=seed)
 
     # -- the decision oracle ----------------------------------------------------
 

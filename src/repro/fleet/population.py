@@ -158,15 +158,9 @@ class HouseholdSpec:
         return diary_named(self.diary)
 
     def as_tuple(self):
-        """Primitive form for crossing a process boundary."""
+        """The identity as primitives (equality, hashing, digests)."""
         return (self.index, self.vendor.value, self.country.value,
                 self.phase.value, self.diary, self.seed)
-
-    @classmethod
-    def from_tuple(cls, values) -> "HouseholdSpec":
-        index, vendor, country, phase, diary, seed = values
-        return cls(index, Vendor(vendor), Country(country),
-                   Phase(phase), diary, seed)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, HouseholdSpec)

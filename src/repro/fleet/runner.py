@@ -1,4 +1,4 @@
-"""Sharded fleet execution over the grid's process pool and result cache.
+"""Sharded fleet execution over the shared task runner and result cache.
 
 A fleet run is embarrassingly parallel: each household session is a pure
 function of ``(household label, derived seed)``.  The runner
@@ -8,9 +8,8 @@ function of ``(household label, derived seed)``.  The runner
   shard, merge shards in index order — is identical however many workers
   execute it, and the aggregate report is byte-identical across job
   counts;
-* executes shards on a :class:`~concurrent.futures.ProcessPoolExecutor`
-  after :func:`~repro.experiments.grid.warm_assets` builds the shared
-  per-country assets pre-fork;
+* executes shards through :func:`repro.workers.run_tasks` (in-process,
+  or on worker processes that inherit the warmed per-country assets);
 * memoizes each household capture in the content-addressed
   :class:`~repro.experiments.grid.ResultCache` (keyed by household
   label, diary duration and derived seed), so a repeated or *grown*
@@ -23,24 +22,24 @@ function of ``(household label, derived seed)``.  The runner
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
+import functools
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.pipeline import AuditPipeline
 from ..faults import (NULL_PLAN, FaultPlan, produce_with_retries,
                       salvage_pcap_bytes, tamper_pcap_bytes)
 from ..findings import Finding
 from ..experiments.grid import (CacheReadError, ResultCache,
-                                record_from_result, warm_assets)
+                                record_from_result)
 from ..net.addresses import Ipv4Address
 from ..net.pcap import GLOBAL_HEADER, PcapError
-from ..obs.metrics import get_registry, metrics_enabled, scoped
+from ..obs.metrics import get_registry
 from ..testbed.runner import run_session
 from ..testbed.validation import validate_session
 from ..util import check_jobs
-from .aggregate import FleetAggregate, merge_all, summarize_household
+from ..workers import run_tasks
+from .aggregate import FleetAggregate, summarize_household
 from .population import HouseholdSpec, PopulationSpec
 
 #: Households per shard.  Fixed (not derived from --jobs) so the shard
@@ -48,11 +47,9 @@ from .population import HouseholdSpec, PopulationSpec
 #: the population, which is what makes reports job-count invariant.
 SHARD_SIZE = 16
 
-ProgressFn = Callable[[int, int, int, int], None]
-
-#: Richer progress hook: (done shards, total shards, executed, cached,
+#: Progress hook: (done shards, total shards, executed, cached,
 #: aggregate folded so far) — what the dashboard renders from.
-ObserverFn = Callable[[int, int, int, int, FleetAggregate], None]
+ProgressFn = Callable[[int, int, int, int, FleetAggregate], None]
 
 
 class FleetRunError(RuntimeError):
@@ -147,43 +144,30 @@ def _audit_household(household: HouseholdSpec,
     return summary, executed
 
 
-def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
-                                 Optional[dict]]:
-    """Pool worker: audit one shard, return its merged aggregate.
-
-    Takes only primitives (household tuples + cache coordinates + the
-    fault plan) and returns the shard's :class:`FleetAggregate` plus
-    executed/cached counts and — when the parent had metrics enabled —
-    the shard's own metrics snapshot, collected in a worker-local
-    registry so the parent can absorb it without double counting.
-    Never a capture.
-    """
-    (household_tuples, cache_root, cache_version, validate_results,
-     collect_metrics, plan_tuple) = payload
-    cache = ResultCache(cache_root, version=cache_version) \
-        if cache_root else None
-    faults = FaultPlan.from_tuple(plan_tuple)
+def _run_shard(cache: Optional[ResultCache], validate_results: bool,
+               faults: FaultPlan, households: Sequence[HouseholdSpec]
+               ) -> Tuple[FleetAggregate, int, int]:
+    """Fleet task (see :func:`repro.workers.run_tasks`): audit one
+    shard and return its aggregate plus executed/cached counts — never
+    a capture."""
     aggregate = FleetAggregate()
     executed = cached = 0
-    with scoped(collect_metrics) as registry:
-        with get_registry().span("fleet.shard"):
-            for values in household_tuples:
-                household = HouseholdSpec.from_tuple(values)
-                # An injected audit-worker crash/hang kills this
-                # household's attempt mid-shard; the bounded retry
-                # makes the shard self-healing.
-                (summary, ran), __ = produce_with_retries(
-                    faults, (household.index,),
-                    lambda: _audit_household(
-                        household, cache, validate_results, faults))
-                aggregate.fold(summary)
-                if ran:
-                    executed += 1
-                else:
-                    cached += 1
-        get_registry().inc("fleet.shards.completed")
-        snapshot = registry.snapshot() if registry is not None else None
-    return aggregate, executed, cached, snapshot
+    with get_registry().span("fleet.shard"):
+        for household in households:
+            # An injected audit-worker crash/hang kills this household's
+            # attempt mid-shard; the bounded retry makes the shard
+            # self-healing.
+            (summary, ran), __ = produce_with_retries(
+                faults, (household.index,),
+                lambda: _audit_household(
+                    household, cache, validate_results, faults))
+            aggregate.fold(summary)
+            if ran:
+                executed += 1
+            else:
+                cached += 1
+    get_registry().inc("fleet.shards.completed")
+    return aggregate, executed, cached
 
 
 class FleetResult:
@@ -223,92 +207,38 @@ class FleetRunner:
         self.validate_results = validate_results
         self.faults = faults
 
-    def _payloads(self, population: PopulationSpec) -> List[Tuple]:
-        cache_root = self.cache.root if self.cache else None
-        cache_version = self.cache.version if self.cache else None
-        households = [household.as_tuple() for household in population]
-        return [
-            (tuple(households[start:start + self.shard_size]),
-             cache_root, cache_version, self.validate_results,
-             metrics_enabled(), self.faults.as_tuple())
-            for start in range(0, len(households), self.shard_size)]
-
     def run(self, population: PopulationSpec,
-            progress: Optional[ProgressFn] = None,
-            observer: Optional[ObserverFn] = None) -> FleetResult:
+            progress: Optional[ProgressFn] = None) -> FleetResult:
         """Audit every household; constant parent memory in N.
 
-        ``progress`` receives plain shard counts; ``observer``
-        additionally receives the aggregate folded so far (shards merge
-        in index order), which is what the live dashboard renders —
-        both are observation only and never affect the result.
+        Shard aggregates fold in index order as they arrive.
+        ``progress`` receives the shard counts and the aggregate folded
+        so far, which is what the live dashboard renders; it is
+        observation only and never affects the result.
         """
         started = time.perf_counter()
-        payloads = self._payloads(population)
-        shard_outputs: List[Optional[Tuple]] = [None] * len(payloads)
-
-        def collect(index: int, output: Tuple) -> None:
-            shard_outputs[index] = output
-            get_registry().absorb(output[3])
-            registry = get_registry()
+        households = population.sample()
+        shards = [households[start:start + self.shard_size]
+                  for start in range(0, len(households), self.shard_size)]
+        task = functools.partial(_run_shard, self.cache,
+                                 self.validate_results, self.faults)
+        registry = get_registry()
+        aggregate = FleetAggregate()
+        executed = cached = 0
+        for index, (shard, ran, hit) in run_tasks(
+                task, shards, self.jobs, population.countries()):
+            aggregate = aggregate.merge(shard)
+            executed += ran
+            cached += hit
             if registry.enabled:
                 elapsed = time.perf_counter() - started
-                folded = sum(o[0].households for o in shard_outputs
-                             if o is not None)
                 if elapsed > 0:
-                    registry.gauge_set("fleet.households_per_s",
-                                       round(folded / elapsed, 3))
-            self._report(progress, observer, shard_outputs)
-
-        if self.jobs == 1 or len(payloads) == 1:
-            for index, payload in enumerate(payloads):
-                collect(index, _run_shard(payload))
-        else:
-            workers = min(self.jobs, len(payloads))
-            if multiprocessing.get_start_method() == "fork":
-                # Same pre-fork warm-up the grid runner does: workers
-                # inherit the per-country reference libraries
-                # copy-on-write instead of each rebuilding them.
-                warm_assets(countries=population.countries())
-            failed: List[int] = []
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = {
-                    pool.submit(_run_shard, payload): index
-                    for index, payload in enumerate(payloads)}
-                for future in concurrent.futures.as_completed(futures):
-                    try:
-                        collect(futures[future], future.result())
-                    except concurrent.futures.process.BrokenProcessPool:
-                        # A worker died for real (OOM-kill, segfault).
-                        # The pool is unusable from here on; requeue
-                        # every lost shard for the serial pass below.
-                        failed.append(futures[future])
-            for index in sorted(failed):
-                get_registry().inc("retry.shard.requeued")
-                collect(index, _run_shard(payloads[index]))
-
-        aggregate = merge_all(output[0] for output in shard_outputs)
-        executed = sum(output[1] for output in shard_outputs)
-        cached = sum(output[2] for output in shard_outputs)
+                    registry.gauge_set(
+                        "fleet.households_per_s",
+                        round(aggregate.households / elapsed, 3))
+            if progress is not None:
+                progress(index + 1, len(shards), executed, cached,
+                         aggregate)
         return FleetResult(aggregate, population.households,
-                           len(payloads), executed, cached,
+                           len(shards), executed, cached,
                            time.perf_counter() - started)
-
-    @staticmethod
-    def _report(progress: Optional[ProgressFn],
-                observer: Optional[ObserverFn],
-                shard_outputs: List) -> None:
-        if progress is None and observer is None:
-            return
-        done = [output for output in shard_outputs if output is not None]
-        counts = (len(done), len(shard_outputs),
-                  sum(output[1] for output in done),
-                  sum(output[2] for output in done))
-        if progress is not None:
-            progress(*counts)
-        if observer is not None:
-            # Index order keeps the partial aggregate canonical (the
-            # same discipline as the final merge).
-            observer(*counts, merge_all(
-                output[0] for output in shard_outputs
-                if output is not None))

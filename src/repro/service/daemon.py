@@ -5,11 +5,12 @@
 
 * households are admitted in index order, at most ``window`` in flight
   (the bounded-memory household window);
-* each admitted household's capture — produced synchronously or by a
-  bounded-lookahead process pool, recalled from the shared result cache
-  when warm — is cut into ``segments`` pcap slices whose *offer* times
-  carry a per-segment deterministic jitter, so segments arrive
-  interleaved and out of order;
+* each admitted household's capture — produced in-process or on worker
+  processes by :func:`repro.workers.run_tasks` with a ``window``-bounded
+  lookahead, recalled from the shared result cache when warm — is cut
+  into ``segments`` pcap slices whose *offer* times carry a per-segment
+  deterministic jitter, so segments arrive interleaved and out of
+  order;
 * the :class:`~repro.service.bus.SegmentBus` admits offers under the
   per-household credit window; refusals park the segment until the bus
   reports a drain, when a retry event is scheduled (never re-entrantly);
@@ -29,22 +30,22 @@ this.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import hashlib
-import multiprocessing
 import time
+from contextlib import closing
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..experiments.grid import ResultCache, warm_assets
-from ..faults import (NULL_PLAN, FaultPlan, InjectedFault,
-                      maybe_raise_worker_fault, produce_with_retries,
+from ..experiments.grid import ResultCache
+from ..faults import (NULL_PLAN, FaultPlan, produce_with_retries,
                       tamper_pcap_bytes)
 from ..fleet.population import HouseholdSpec, PopulationSpec
 from ..fleet.runner import household_record
-from ..obs.metrics import get_registry, metrics_enabled, scoped
+from ..obs.metrics import get_registry
 from ..sim.clock import milliseconds, seconds
 from ..sim.events import EventLoop
 from ..util import check_jobs
+from ..workers import run_tasks
 from .auditor import IncrementalAuditor
 from .bus import DEFAULT_CREDITS, SegmentBus
 from .checkpoint import (load_checkpoint, population_key,
@@ -81,11 +82,9 @@ DUP_DELAY_NS = milliseconds(30)
 #: household is also re-polled on a timer (fault runs only).
 STARVE_RETRY_NS = milliseconds(11)
 
-ProgressFn = Callable[[int, int, int, int], None]
-
-#: Richer progress hook: (done, total, executed, cached, LiveState) —
-#: what the live dashboard renders from.  Observation only.
-ObserverFn = Callable[[int, int, int, int, "LiveState"], None]
+#: Progress hook: (done, total, executed, cached, LiveState) — what
+#: the live dashboard renders from.  Observation only.
+ProgressFn = Callable[[int, int, int, int, LiveState], None]
 
 
 class ServiceStopped(RuntimeError):
@@ -117,6 +116,9 @@ class ServiceConfig:
             raise ValueError("credit window must be positive")
         if segments <= 0:
             raise ValueError("segments per household must be positive")
+        if checkpoint_every < 0:
+            raise ValueError("checkpoint interval must be 0 (off) or "
+                             "positive")
         self.window = window
         self.credits = credits
         self.segments = segments
@@ -165,133 +167,22 @@ class ServiceResult:
                 f"{self.elapsed_s:.1f}s)")
 
 
-def _produce(payload) -> Tuple[int, str, bytes, bool, Optional[dict]]:
-    """Pool worker: produce one household capture (cache-aware).
+def _capture(cache: Optional[ResultCache], validate: bool,
+             faults: FaultPlan, household: HouseholdSpec
+             ) -> Tuple[str, bytes, bool, List[str]]:
+    """Serve task (see :func:`repro.workers.run_tasks`): produce one
+    household capture, cache-aware.
 
-    The trailing metrics snapshot (``None`` unless the parent had
-    metrics enabled) is collected in a worker-local registry so the
-    parent can absorb simulate spans and cache counters from pool
-    workers too.  An injected worker crash/hang raises out of the
-    worker *before* production — the parent counts it and resubmits
-    with the next attempt number, so injection totals live entirely
-    parent-side and stay jobs-invariant.
+    Returns ``(tv_ip, pcap, executed, sites)``: ``sites`` lists the
+    injected ``worker.crash``/``worker.hang`` attempts spent first,
+    which the daemon turns into virtual-time backoff.  The oracle keys
+    on the household index and attempt, so backoff and counters are
+    identical at any ``--jobs``.
     """
-    (household_tuple, cache_root, cache_version, validate,
-     collect_metrics, plan_tuple, attempt) = payload
-    household = HouseholdSpec.from_tuple(household_tuple)
-    maybe_raise_worker_fault(FaultPlan.from_tuple(plan_tuple), attempt,
-                             household.index)
-    cache = ResultCache(cache_root, version=cache_version) \
-        if cache_root else None
-    with scoped(collect_metrics) as registry:
-        record, executed = household_record(household, cache, validate)
-        snapshot = registry.snapshot() if registry is not None else None
-    return (household.index, record.tv_ip, record.pcap_bytes, executed,
-            snapshot)
-
-
-class _CaptureSource:
-    """Produce household captures, optionally ahead on a process pool.
-
-    Lookahead is bounded by the service window, so parent memory holds
-    at most ``window`` undelivered captures — production order is index
-    order, delivery order is the service's admission order (identical),
-    and *none* of this affects virtual-time scheduling.
-    """
-
-    def __init__(self, queue: List[HouseholdSpec],
-                 cache: Optional[ResultCache], jobs: int,
-                 validate: bool, lookahead: int,
-                 faults: FaultPlan = NULL_PLAN) -> None:
-        self._queue = queue
-        self._cache = cache
-        self._validate = validate
-        self._lookahead = max(1, lookahead)
-        self._jobs = check_jobs(jobs)
-        self._faults = faults
-        self._pool = None
-        self._futures: Dict[int, concurrent.futures.Future] = {}
-        self._next_submit = 0
-        self.executed = 0
-        self.cached = 0
-
-    def __enter__(self) -> "_CaptureSource":
-        if self._jobs > 1 and len(self._queue) > 1:
-            if multiprocessing.get_start_method() == "fork":
-                warm_assets(countries=sorted(
-                    {h.country.value for h in self._queue}))
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                min(self._jobs, len(self._queue)))
-            self._top_up()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            for future in self._futures.values():
-                future.cancel()
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def _payload(self, household: HouseholdSpec, attempt: int = 0):
-        return (household.as_tuple(),
-                self._cache.root if self._cache else None,
-                self._cache.version if self._cache else None,
-                self._validate, metrics_enabled(),
-                self._faults.as_tuple(), attempt)
-
-    def _top_up(self) -> None:
-        while (self._next_submit < len(self._queue)
-               and len(self._futures) < self._lookahead):
-            household = self._queue[self._next_submit]
-            self._futures[household.index] = self._pool.submit(
-                _produce, self._payload(household))
-            self._next_submit += 1
-
-    def get(self, household: HouseholdSpec) -> Tuple[str, bytes, int]:
-        """The capture for one household (blocks on wall time only).
-
-        Returns ``(tv_ip, pcap, backoff_ns)`` — the virtual-time cost
-        of any injected crash/hang retries spent producing it, for the
-        caller to add to the household's segment arrival times.  Sync
-        and pool paths consult the same fault oracle with the same
-        coordinates and count parent-side, so both the backoff and the
-        counters are identical at any ``--jobs``.
-        """
-        if self._pool is None:
-            (record, executed), sites = produce_with_retries(
-                self._faults, (household.index,),
-                lambda: household_record(household, self._cache,
-                                         self._validate))
-            tv_ip, pcap = record.tv_ip, record.pcap_bytes
-        else:
-            registry = get_registry()
-            future = self._futures.pop(household.index)
-            sites = []
-            while True:
-                try:
-                    (__, tv_ip, pcap, executed,
-                     snapshot) = future.result()
-                    break
-                except InjectedFault as fault:
-                    sites.append(fault.site)
-                    registry.inc(f"faults.injected.{fault.site}")
-                    registry.inc("retry.worker.attempts")
-                    future = self._pool.submit(
-                        _produce,
-                        self._payload(household,
-                                      attempt=fault.attempt + 1))
-            for site in sites:
-                registry.inc(f"faults.recovered.{site}")
-            get_registry().absorb(snapshot)
-            self._top_up()
-        if executed:
-            self.executed += 1
-        else:
-            self.cached += 1
-        backoff_ns = sum(
-            HANG_TIMEOUT_NS if site == "worker.hang"
-            else RETRY_BACKOFF_NS for site in sites)
-        return tv_ip, pcap, backoff_ns
+    (record, executed), sites = produce_with_retries(
+        faults, (household.index,),
+        lambda: household_record(household, cache, validate))
+    return record.tv_ip, record.pcap_bytes, executed, sites
 
 
 class AuditService:
@@ -303,8 +194,8 @@ class AuditService:
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False,
                  progress: Optional[ProgressFn] = None,
-                 stop_check: Optional[Callable[[], bool]] = None,
-                 observer: Optional[ObserverFn] = None) -> None:
+                 stop_check: Optional[Callable[[], bool]] = None
+                 ) -> None:
         self.population = population
         self.cache = cache
         self.config = config or ServiceConfig()
@@ -313,7 +204,6 @@ class AuditService:
         self.resume = resume
         self.progress = progress
         self.stop_check = stop_check
-        self.observer = observer
         self.checkpoints_written = 0
 
     # -- deterministic arrival schedule -----------------------------------------
@@ -364,11 +254,8 @@ class AuditService:
                 registry.gauge_max("service.open_households_peak",
                                    auditor.peak_open_households)
             if self.progress is not None:
-                self.progress(len(state.completed), total,
-                              source.executed, source.cached)
-            if self.observer is not None:
-                self.observer(len(state.completed), total,
-                              source.executed, source.cached, state)
+                self.progress(len(state.completed), total, executed,
+                              cached, state)
             if (self.checkpoint_dir
                     and config.checkpoint_every
                     and since_checkpoint >= config.checkpoint_every):
@@ -443,15 +330,22 @@ class AuditService:
             offer(segment)
             get_registry().inc("faults.recovered.segment.dup")
 
-        admit_cursor = 0
+        admit_cursor = executed = cached = 0
 
         def admit_next() -> None:
-            nonlocal admit_cursor
+            nonlocal admit_cursor, executed, cached
             while (admit_cursor < len(queue)
                    and auditor.open_households < config.window):
                 household = queue[admit_cursor]
                 admit_cursor += 1
-                tv_ip, pcap, backoff_ns = source.get(household)
+                __, (tv_ip, pcap, ran, sites) = next(captures)
+                if ran:
+                    executed += 1
+                else:
+                    cached += 1
+                backoff_ns = sum(
+                    HANG_TIMEOUT_NS if site == "worker.hang"
+                    else RETRY_BACKOFF_NS for site in sites)
                 segments = segment_record(household.index, pcap,
                                           config.segments)
                 auditor.open(household, tv_ip)
@@ -490,10 +384,14 @@ class AuditService:
                         loop.call_after(jitter_ns + DUP_DELAY_NS,
                                         deliver_dup, segment)
 
-        with _CaptureSource(queue, self.cache, self.jobs,
-                            config.validate_results,
-                            lookahead=config.window,
-                            faults=faults) as source:
+        # Captures are produced in admission order (the queue's), at
+        # most ``window`` ahead; none of this affects virtual time.
+        task = functools.partial(_capture, self.cache,
+                                 config.validate_results, faults)
+        with closing(run_tasks(
+                task, queue, self.jobs,
+                {household.country.value for household in queue},
+                window=config.window)) as captures:
             admit_next()
             while loop.pending:
                 if self.stop_check is not None and self.stop_check():
@@ -508,7 +406,7 @@ class AuditService:
             self._checkpoint(state, auditor)
         return ServiceResult(
             state=state, population=self.population,
-            executed=source.executed, cached=source.cached,
+            executed=executed, cached=cached,
             resumed_households=resumed,
             segments_delivered=bus.delivered, refusals=bus.refused,
             peak_open_households=auditor.peak_open_households,
@@ -540,11 +438,10 @@ def serve_fleet(population: PopulationSpec,
                 checkpoint_dir: Optional[str] = None,
                 resume: bool = False,
                 progress: Optional[ProgressFn] = None,
-                stop_check: Optional[Callable[[], bool]] = None,
-                observer: Optional[ObserverFn] = None
+                stop_check: Optional[Callable[[], bool]] = None
                 ) -> ServiceResult:
     """Convenience wrapper: build and run one :class:`AuditService`."""
     return AuditService(population, cache=cache, config=config,
                         jobs=jobs, checkpoint_dir=checkpoint_dir,
                         resume=resume, progress=progress,
-                        stop_check=stop_check, observer=observer).run()
+                        stop_check=stop_check).run()

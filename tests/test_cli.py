@@ -9,7 +9,6 @@ from repro.cli import build_parser, main
 from repro.experiments.grid import GridRunner
 from repro.fleet import FleetRunner, PopulationSpec
 from repro.service import serve_fleet
-from repro.service.daemon import _CaptureSource
 from repro import jsonl
 from repro.findings import Evidence, Finding, FindingsLedger
 
@@ -204,8 +203,16 @@ class TestJobsValidation:
         lambda: GridRunner(jobs=0),
         lambda: FleetRunner(jobs=0),
         lambda: serve_fleet(PopulationSpec(2, seed=1), jobs=0),
-        lambda: _CaptureSource([], None, 0, validate=True, lookahead=1),
-    ], ids=["GridRunner", "FleetRunner", "serve_fleet", "_CaptureSource"])
+    ], ids=["GridRunner", "FleetRunner", "serve_fleet"])
     def test_runners_raise_on_zero_jobs(self, make):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             make()
+
+
+class TestServeOptions:
+    def test_negative_checkpoint_interval_exits_2(self, capsys):
+        # 0 turns periodic checkpoints off; below 0 means nothing.
+        assert main(["serve", "--households", "1",
+                     "--checkpoint-every", "-1"]) == 2
+        assert "checkpoint interval must be 0 (off) or positive" in \
+            capsys.readouterr().err

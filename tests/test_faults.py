@@ -17,6 +17,7 @@ Three tiers of claim:
 
 import hashlib
 import os
+import pickle
 import tempfile
 
 import pytest
@@ -102,11 +103,12 @@ class TestFaultPlanGrammar:
         with pytest.raises(FaultSpecError, match=r"in \[0, 1\]"):
             FaultPlan.parse("segment.drop:1.5")
 
-    def test_tuple_round_trip(self):
+    def test_pickle_round_trip(self):
+        # Pickle is the process boundary: tasks carry the plan itself.
         plan = FaultPlan.parse("segment.drop:0.2,worker.hang:0.7",
                                seed=9)
-        assert FaultPlan.from_tuple(plan.as_tuple()) == plan
-        assert FaultPlan.from_tuple(NULL_PLAN.as_tuple()) == NULL_PLAN
+        assert pickle.loads(pickle.dumps(plan)) == plan
+        assert pickle.loads(pickle.dumps(NULL_PLAN)) == NULL_PLAN
 
 
 class TestFaultPlanOracle:
@@ -139,7 +141,7 @@ class TestFaultPlanOracle:
     def test_decisions_are_pure_functions_of_coordinates(
             self, rate, seed, coords):
         plan = FaultPlan({"segment.drop": rate}, seed=seed)
-        twin = FaultPlan.from_tuple(plan.as_tuple())
+        twin = pickle.loads(pickle.dumps(plan))
         assert plan.fires("segment.drop", *coords) \
             == twin.fires("segment.drop", *coords)
 

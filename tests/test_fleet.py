@@ -9,6 +9,7 @@ produces a byte-identical report to a serial one.
 
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from repro.experiments.grid import ResultCache
 from repro.findings import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE,
                             Finding)
 from repro.fleet import (DIARIES, FleetAggregate, FleetRunner,
-                         HouseholdSpec, MixError, PopulationSpec,
+                         MixError, PopulationSpec,
                          diary_named, merge_all, parse_mix,
                          render_population_report, sample_population)
 from repro.sim.clock import minutes, seconds
@@ -96,10 +97,9 @@ class TestPopulationSampling:
         lg = sum(h.vendor is Vendor.LG for h in population)
         assert lg > 240  # expectation 270; far from 150
 
-    def test_roundtrip_through_tuples(self):
+    def test_roundtrip_through_pickle(self):
         for household in sample_population(10, seed=3):
-            assert HouseholdSpec.from_tuple(household.as_tuple()) == \
-                household
+            assert pickle.loads(pickle.dumps(household)) == household
 
     def test_countries_lists_only_weighted(self):
         population = PopulationSpec(5, seed=3,
@@ -422,7 +422,7 @@ class TestFleetRunner:
         seen = []
         FleetRunner(cache=cache, jobs=1, shard_size=2).run(
             population,
-            progress=lambda done, total, ran, hit: seen.append(
+            progress=lambda done, total, ran, hit, aggregate: seen.append(
                 (done, total)))
         assert seen == [(1, 2), (2, 2)]
 

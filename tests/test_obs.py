@@ -493,7 +493,7 @@ class TestFaultMetricsJobsInvariance:
     attempt), never execution order — so every ``faults.*`` and
     ``retry.*`` total is identical at any job count."""
 
-    def _run(self, jobs):
+    def _run(self, produce, jobs):
         from repro.faults import FaultPlan
         population = PopulationSpec(
             households=3, seed=22,
@@ -503,15 +503,33 @@ class TestFaultMetricsJobsInvariance:
                                seed=9)
         registry = enable()
         try:
-            FleetRunner(cache=None, jobs=jobs, shard_size=1,
-                        faults=plan).run(population)
+            produce(population, plan, jobs)
             return registry.snapshot()["counters"]
         finally:
             disable()
 
+    @staticmethod
+    def _fleet(population, plan, jobs):
+        FleetRunner(cache=None, jobs=jobs, shard_size=1,
+                    faults=plan).run(population)
+
+    @staticmethod
+    def _serve(population, plan, jobs):
+        # Serve's crash/hang retries run inside the capture task, so
+        # their counters reach the parent through worker snapshots.
+        from repro.service import ServiceConfig, serve_fleet
+        serve_fleet(population, cache=None, jobs=jobs,
+                    config=ServiceConfig(faults=plan))
+
     def test_fault_totals_independent_of_jobs(self):
-        serial = self._run(1)
-        parallel = self._run(8)
+        self._check(self._fleet, parallel_jobs=8)
+
+    def test_serve_fault_totals_independent_of_jobs(self):
+        self._check(self._serve, parallel_jobs=2)
+
+    def _check(self, produce, parallel_jobs):
+        serial = self._run(produce, 1)
+        parallel = self._run(produce, parallel_jobs)
         names = {name for name in list(serial) + list(parallel)
                  if name.startswith(("faults.", "retry."))}
         # The plan must actually inject (a vacuous pass would hide a
