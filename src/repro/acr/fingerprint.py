@@ -153,11 +153,21 @@ def clear_fingerprint_cache() -> None:
     _FINGERPRINT_CACHE.clear()
 
 
+def memo_key(visual_seed: int, position: float) -> Tuple[int, int, int]:
+    """The memo key of an item (by visual seed) at a playback second."""
+    return (visual_seed, int(position), int(position / _SCENE_LENGTH_S))
+
+
+def remember(fingerprints: Dict[Tuple[int, int, int],
+                                Tuple[int, Tuple[int, ...]]]) -> None:
+    """Seed the memo with fingerprints computed earlier (a stored
+    reference library), keyed by :func:`memo_key`."""
+    _FINGERPRINT_CACHE.update(fingerprints)
+
+
 def capture_state(state: PlayState, offset_ns: int = 0) -> Capture:
     """Fingerprint whatever a play state is showing (memoized)."""
-    position = state.position_s
-    key = (state.item.visual_seed, int(position),
-           int(position / _SCENE_LENGTH_S))
+    key = memo_key(state.item.visual_seed, state.position_s)
     cached = _FINGERPRINT_CACHE.get(key)
     if cached is None:
         get_registry().inc("acr.memo.miss")

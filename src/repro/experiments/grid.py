@@ -31,6 +31,8 @@ import zlib
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple, Union)
 
+import numpy as np
+
 from ..analysis.pipeline import AuditPipeline
 from ..faults import NULL_PLAN, FaultPlan, produce_with_retries
 from ..net.addresses import Ipv4Address
@@ -124,11 +126,14 @@ _code_version: Optional[str] = None
 
 
 def code_version() -> str:
-    """A digest of every ``repro`` source file, for cache invalidation.
+    """A digest of every ``repro`` source file and the numpy version,
+    for cache invalidation.
 
     Any edit to the simulator changes the digest, so stale captures can
-    never satisfy a lookup.  ``REPRO_CODE_VERSION`` overrides the scan
-    (tests use it to exercise invalidation cheaply).
+    never satisfy a lookup; so does a numpy upgrade, since every
+    fingerprint hash comes out of numpy's ``mean``/``rfft``/``argsort``.
+    ``REPRO_CODE_VERSION`` overrides the scan (tests use it to exercise
+    invalidation cheaply).
     """
     global _code_version
     override = os.environ.get("REPRO_CODE_VERSION")
@@ -137,7 +142,7 @@ def code_version() -> str:
     if _code_version is None:
         package_root = os.path.dirname(os.path.dirname(
             os.path.abspath(__file__)))
-        digest = hashlib.sha256()
+        digest = hashlib.sha256(f"numpy {np.__version__}\n".encode())
         for directory, __, names in sorted(os.walk(package_root)):
             for name in sorted(names):
                 if not name.endswith(".py"):
@@ -384,12 +389,14 @@ def _execute_cell(seed: int, validate_results: bool, faults: FaultPlan,
 def warm_assets(countries: Iterable[str] = ()) -> None:
     """Pre-build the shared per-country assets in this process.
 
-    Building a reference fingerprint database and the matcher's band
-    index over it takes far longer than simulating a cell, but both are
-    memoized per country: the index is built once per country here, not
-    once per backend.  :func:`repro.workers.run_tasks` calls this before
-    forking its pool, so every worker inherits the library and its
-    index copy-on-write instead of each rebuilding them from scratch.
+    A reference fingerprint database (loaded from its stored columns,
+    or built and stored by the first process of a code version) and
+    the matcher's band index over it cost far more than simulating a
+    cell, but both are memoized per country: the index is built once
+    per country here, not once per backend.
+    :func:`repro.workers.run_tasks` calls this before forking its pool,
+    so every worker inherits the library and its index copy-on-write;
+    a spawned worker loads the library instead of building it.
     """
     from ..testbed import assets
     for country in sorted(set(countries)):

@@ -23,11 +23,12 @@ Durability is layered:
 
 Fault injection (``checkpoint.torn`` / ``checkpoint.corrupt``) damages
 these same two writes deterministically by write sequence: torn tears
-the canonical write (the rotated twin of the same snapshot survives),
-corrupt smashes the rotated file's digest (bounded per
-:data:`~repro.faults.plan.FAULT_ATTEMPT_CAP`-sized sequence block, so
-every block contains a durable rotated snapshot — which is why
-:data:`CHECKPOINT_KEEP` is the block size and recovery stays total).
+the canonical write of a snapshot whose rotated twin was written
+intact (so the twin survives), corrupt smashes the rotated file's
+digest (bounded per :data:`~repro.faults.plan.FAULT_ATTEMPT_CAP`-sized
+sequence block, so every block contains a durable rotated snapshot —
+which is why :data:`CHECKPOINT_KEEP` is the block size and recovery
+stays total).
 
 Growth in place is deliberate: resuming with a *larger*
 ``--households`` is allowed (same seed + mixes), so a fleet can be
@@ -116,10 +117,10 @@ def population_key(seed: int, mixes: Mapping[str, Mapping[str, float]],
     """Identity of a fleet's answer for resume guarding, not of its N.
 
     Household ``i``'s audit is a pure function of ``(seed, mixes, i)``,
-    the code version and the plan's lossy sites (with their rates and
-    the fault seed), so the key covers exactly those.  N stays out —
-    that is what lets ``--resume`` grow a fleet in place — and so do
-    lossless sites, which never change the report.
+    the code version (sources and numpy) and the plan's lossy sites
+    (with their rates and the fault seed), so the key covers exactly
+    those.  N stays out — that is what lets ``--resume`` grow a fleet
+    in place — and so do lossless sites, which never change the report.
     """
     canonical = {axis: {value: float(weight)
                         for value, weight in sorted(weights.items())}
@@ -170,18 +171,21 @@ def write_checkpoint(directory: str, state: LiveState,
     registry = get_registry()
 
     rotated_text = text
-    if faults.fires_bounded("checkpoint.corrupt",
-                            seq % CHECKPOINT_KEEP, seq // CHECKPOINT_KEEP):
+    corrupted = faults.fires_bounded("checkpoint.corrupt",
+                                     seq % CHECKPOINT_KEEP,
+                                     seq // CHECKPOINT_KEEP)
+    if corrupted:
         # Parseable but wrong: the digest check must catch this one.
         rotated_text = text.replace(document["digest"], "0" * 64)
         registry.inc("faults.injected.checkpoint.corrupt")
     atomic_write_text(rotated_path(directory, seq), rotated_text)
 
     canonical_text = text
-    if faults.fires("checkpoint.torn", seq):
-        # Torn mid-payload: not even JSON.  The rotated twin written
-        # above survives, which is what keeps recovery total at any
-        # injection rate.
+    if not corrupted and faults.fires("checkpoint.torn", seq):
+        # Torn mid-payload: not even JSON.  Only a snapshot whose
+        # rotated twin above is intact gets torn, so every snapshot
+        # keeps one valid copy and recovery stays total at any
+        # injection rate, even when a run stops after its first one.
         canonical_text = text[:len(text) // 2]
         registry.inc("faults.injected.checkpoint.torn")
     path = checkpoint_path(directory)

@@ -21,7 +21,7 @@ import pickle
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.grid import ResultCache
@@ -303,6 +303,11 @@ class TestLosslessPlansConverge:
            stop_after=st.integers(min_value=1, max_value=80),
            arrival_seed=st.integers(0, 10_000))
     @settings(max_examples=5, deadline=None)
+    # Both checkpoint faults on the first snapshot, then a stop: no
+    # valid copy survived before torn was limited to intact twins.
+    @example(rates={"segment.drop": 1, "checkpoint.corrupt": 1,
+                    "checkpoint.torn": 4},
+             fault_seed=1, stop_after=1, arrival_seed=0)
     def test_kill_resume_under_random_plan_matches_batch(
             self, cache, population, batch_sha, rates, fault_seed,
             stop_after, arrival_seed):

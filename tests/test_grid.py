@@ -5,9 +5,11 @@ with filters, cache hit/miss/invalidation (seed and code-version), and
 that a 2-job parallel run is byte-identical to a serial run.
 """
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.experiments import grid
 from repro.experiments.grid import (CellRecord, GridFilterError,
                                     GridResults, GridRunner, ResultCache,
                                     enumerate_cells, parse_filters)
@@ -107,6 +109,18 @@ class TestResultCache:
                            version="v2").load(self.SPEC, 5) is None
         assert ResultCache(str(tmp_path),
                            version="v1").load(self.SPEC, 5) is not None
+
+    def test_code_version_covers_numpy(self, monkeypatch):
+        # Fingerprint hashes come out of numpy, so a numpy upgrade must
+        # invalidate like a source edit; REPRO_CODE_VERSION still wins.
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        monkeypatch.setattr(grid, "_code_version", None)
+        current = grid.code_version()
+        monkeypatch.setattr(grid, "_code_version", None)
+        monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+        assert grid.code_version() != current
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        assert grid.code_version() == "pinned"
 
     def test_duration_is_part_of_the_key(self, tmp_path):
         cache = ResultCache(str(tmp_path), version="v1")
